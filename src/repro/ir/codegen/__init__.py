@@ -1,49 +1,47 @@
-"""Code generation backends (Section 3.6).
+"""Code generation (Section 3.6): one emitter pipeline, several selections.
 
-Backends are selected through the registry in
-:mod:`repro.ir.codegen.registry` — ``get_backend(name)`` /
-``register_backend`` / ``available_backends`` — or, one level up, through
-``CompilerOptions(backend="...")``:
+Every executing backend turns a :class:`~repro.ir.intra_op.plan.KernelPlan`
+into Python/numpy source through the same three stages:
 
-* ``python-interp`` (:mod:`repro.ir.codegen.python_backend`) — emits one
-  executable Python/numpy function per kernel plus a fused dispatch program;
-  the default runtime path, validated for numerical correctness.
-* ``python-codegen`` (:mod:`repro.ir.codegen.codegen_backend`) — emits one
-  specialised whole-plan ``main_forward``/``main_backward`` source function
-  with kernels inlined, buffers and graph index arrays resolved to locals,
-  and segment loops unrolled over the schema's relations; bit-identical to
-  ``python-interp`` and faster on the compile-once-run-many path.
-* ``mixed`` (:mod:`repro.ir.codegen.mixed_backend`) — per-kernel backend
-  selection: numpy-bound traversal kernels keep their interp functions,
-  dispatch-bound GEMM/projection chains run as whole-plan codegen segments,
-  one generated dispatcher calls them in plan order; re-specialised per
-  bound graph on the schema's segment occupancy.
-* ``cuda-emit`` (:mod:`repro.ir.codegen.cuda_backend`) — emits CUDA-like
-  source text for every kernel (specialisations of the GEMM and traversal
-  templates); used for inspection and the programming-effort metric, never
-  executed.
-* :mod:`repro.ir.codegen.host` — emits the host-side dispatch/registration
-  code text (the ``TORCH_LIBRARY_FRAGMENT``-style bindings of Figure 5).
+1. **builder** (:mod:`~repro.ir.codegen.builder`) — instantiates each
+   kernel's GEMM / traversal / fallback template into a small statement IR
+   (:mod:`~repro.ir.codegen.stmt`) with typed buffer, context and
+   segment-index references;
+2. **passes** (:mod:`~repro.ir.codegen.passes`) — IR→IR: merged adjoint and
+   forward-projection segment loops, schema/occupancy unrolling,
+   fresh-scatter specialisation, ensure-grad fusion;
+3. **printer** (:mod:`~repro.ir.codegen.printer`) — one walker under a naming
+   policy (per-kernel functions over ``env``/``ctx``, or one whole-plan
+   function over hoisted locals).
 
-Generated sources persist across processes through the on-disk artifact
-cache (:mod:`repro.ir.codegen.artifact_cache`, ``$REPRO_CODEGEN_CACHE``).
+The backends, selected through :mod:`~repro.ir.codegen.registry`
+(``get_backend(name)``) or ``CompilerOptions(backend="...")``, are selections
+over that pipeline and bit-identical to each other:
 
-``generate_python_module`` and ``generate_cuda_source`` remain importable as
-deprecated aliases of the registry path.
+* ``python-interp`` — no passes, one function per kernel plus a fused
+  dispatch program; the default runtime path.
+* ``python-codegen`` — every pass, one specialised ``main_forward`` /
+  ``main_backward`` per plan; faster on the compile-once-run-many path.
+* ``mixed`` (:mod:`~repro.ir.codegen.mixed_backend`) — the selection made per
+  run of kernels (interp for numpy-bound traversal kernels, codegen for
+  dispatch-bound chains) behind one dispatcher; re-specialised per bound
+  graph on the schema's segment occupancy.
+
+Print-only, outside the pipeline: ``cuda-emit``
+(:mod:`~repro.ir.codegen.cuda_backend`, CUDA-like text for inspection and the
+programming-effort metric) and :mod:`~repro.ir.codegen.host` (the
+``TORCH_LIBRARY_FRAGMENT``-style host bindings of Figure 5).  Generated
+sources persist across processes through the on-disk artifact cache
+(:mod:`~repro.ir.codegen.artifact_cache`, ``$REPRO_CODEGEN_CACHE``).
 """
 
-from repro.ir.codegen.python_backend import (
-    GeneratedModule,
-    build_python_module,
-    generate_python_module,
-)
+from repro.ir.codegen.python_backend import GeneratedModule, build_codegen_module, build_python_module
 from repro.ir.codegen.artifact_cache import (
     artifact_cache_stats,
     artifact_key_for,
     default_artifact_cache,
 )
-from repro.ir.codegen.codegen_backend import build_codegen_module
-from repro.ir.codegen.cuda_backend import build_cuda_source, generate_cuda_source
+from repro.ir.codegen.cuda_backend import build_cuda_source
 from repro.ir.codegen.host import generate_host_source
 from repro.ir.codegen.mixed_backend import MixedGeneratedModule, build_mixed_module
 from repro.ir.codegen.registry import (
@@ -69,9 +67,7 @@ __all__ = [
     "build_mixed_module",
     "build_python_module",
     "default_artifact_cache",
-    "generate_cuda_source",
     "generate_host_source",
-    "generate_python_module",
     "get_backend",
     "register_backend",
 ]

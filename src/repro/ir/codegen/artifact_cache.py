@@ -33,16 +33,13 @@ import sys
 import threading
 from pathlib import Path
 from types import CodeType
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 #: Environment variable overriding the on-disk artifact directory.
 CACHE_ENV = "REPRO_CODEGEN_CACHE"
 
 #: Bumped when the on-disk record layout changes; old records become misses.
 ARTIFACT_FORMAT_VERSION = 1
-
-#: The emitter modules whose bytes fingerprint the generated-source dialect.
-_EMITTER_MODULES = ("python_backend.py", "codegen_backend.py", "mixed_backend.py")
 
 
 def default_cache_dir() -> Path:
@@ -56,17 +53,25 @@ def default_cache_dir() -> Path:
 _EMITTER_FINGERPRINT: Optional[str] = None
 
 
+def emitter_module_paths() -> List[Path]:
+    """Every module of this package, sorted: the files that fingerprint the source dialect.
+
+    The whole package rather than a hand-kept list, so a new IR, pass or
+    printer module can never be left out of the fingerprint.
+    """
+    return sorted(Path(__file__).parent.glob("*.py"))
+
+
 def emitter_fingerprint() -> str:
     """Hash of the emitter module sources; editing a generator invalidates artifacts."""
     global _EMITTER_FINGERPRINT
     if _EMITTER_FINGERPRINT is None:
         digest = hashlib.sha256()
-        root = Path(__file__).parent
-        for name in _EMITTER_MODULES:
+        for path in emitter_module_paths():
             try:
-                digest.update((root / name).read_bytes())
+                digest.update(path.read_bytes())
             except OSError:
-                digest.update(name.encode())
+                digest.update(path.name.encode())
         _EMITTER_FINGERPRINT = digest.hexdigest()[:16]
     return _EMITTER_FINGERPRINT
 
@@ -208,8 +213,15 @@ def artifact_cache_stats() -> Dict[str, int]:
     return default_artifact_cache().stats()
 
 
-def load_or_generate(
+def load_source(
     key: Optional[str], filename: str, generate: Callable[[], str]
-) -> Tuple[str, CodeType]:
-    """Module-level convenience over :func:`default_artifact_cache`."""
-    return default_artifact_cache().load_or_generate(key, filename, generate)
+) -> Tuple[str, Dict[str, object]]:
+    """Generate (or load from the process-wide cache) and ``exec`` one module's source.
+
+    The one place generated source becomes callables: returns the source and
+    the namespace its functions live in.
+    """
+    source, code = default_artifact_cache().load_or_generate(key, filename, generate)
+    namespace: Dict[str, object] = {}
+    exec(code, namespace)
+    return source, namespace

@@ -50,23 +50,6 @@ def build_cuda_source(plan: KernelPlan) -> str:
     return "\n".join(chunks) + "\n"
 
 
-def generate_cuda_source(plan: KernelPlan) -> str:
-    """Deprecated alias of :func:`build_cuda_source`.
-
-    Kept so direct imports continue to work; new code should go through the
-    backend registry: ``get_backend("cuda-emit").generate(plan).source``.
-    """
-    import warnings
-
-    warnings.warn(
-        "generate_cuda_source is deprecated; use "
-        "repro.ir.codegen.get_backend('cuda-emit').generate(plan).source instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return build_cuda_source(plan)
-
-
 def _emit_launch_sequence(plan: KernelPlan, direction: str, kernels: List[KernelInstance]) -> str:
     """The fused whole-pass launcher: one host call, N back-to-back launches."""
     symbol = "".join(c if c.isalnum() else "_" for c in plan.name)

@@ -1,46 +1,43 @@
-"""Per-kernel mixed-backend execution: interp kernels + whole-plan segments.
+"""The ``mixed`` backend: the interp/codegen selection made per kernel.
 
-The registry's two executing backends are both all-or-nothing: ``python-interp``
-pays a function call and env lookups per kernel but runs numpy-bound traversal
-kernels at full speed, while ``python-codegen`` erases dispatch for the whole
-plan but cannot beat the interpreter where numpy does all the work anyway.
-Hector's cost model already prices kernels *individually* — so this backend
-chooses per kernel, the way roofline-driven HPC characterisations pick an
-implementation per primitive rather than one global winner:
+The two pure backends are all-or-nothing: ``python-interp`` pays a function
+call and env lookups per kernel but runs numpy-bound traversal kernels at full
+speed, while ``python-codegen`` erases dispatch for the whole plan but cannot
+beat the interpreter where numpy does all the work anyway.  Hector's cost
+model already prices kernels *individually*, so this backend chooses per
+kernel, the way roofline-driven HPC characterisations pick an implementation
+per primitive rather than one global winner:
 
-* each kernel in the plan is assigned ``interp`` or ``codegen`` — explicitly
+* each kernel is assigned ``interp`` or ``codegen`` — explicitly
   (``CompilerOptions.mixed_assignment``, e.g. from the tuner's beam search),
   or from the cost model's per-kernel bound classification (dispatch/latency
   bound → codegen, memory/compute bound traversal → interp);
-* maximal runs of codegen-assigned kernels become whole-plan segment
-  functions (``_seg_forward_0`` …) emitted by the ``python-codegen``
-  generator — inlined, localised, unrolled, with its whole-plan rewrites —
-  while interp-assigned kernels keep their verbatim per-kernel functions;
-* one ``main_forward``/``main_backward`` dispatcher calls them in plan
-  order.  Everything lives in one generated source, compiled once.
+* maximal runs of codegen-assigned kernels become whole-plan functions
+  (``_seg_forward_0`` …, every pass applied), interp-assigned kernels keep
+  their per-kernel functions, and one ``main_forward``/``main_backward``
+  dispatcher calls them in plan order — one generated source, compiled once.
 
 All kernels communicate through the shared ``env`` dict exactly as both pure
-backends do, so the hand-off across segment boundaries is bit-exact by
-construction; the only whole-plan rewrite with cross-kernel reach —
-fresh-scatter specialisation — is made boundary-aware by seeding each
-segment's generator with the gradients earlier kernels may already have
-written (``pre_touched``).  The mixed module declares
-``seeds_gradients=False`` so the executor eagerly zero-seeds gradients the
-way the interp kernels expect; the codegen segments' guarded reads find those
-seeds and accumulate bit-identically.
+backends do, so the hand-off across run boundaries is bit-exact by
+construction; the only pass with cross-kernel reach — fresh-scatter
+specialisation — is made boundary-aware by telling each run which gradients
+earlier kernels may already have written (``pre_touched``).  The mixed module
+declares ``seeds_gradients=False`` so the executor eagerly zero-seeds
+gradients the way the interp kernels expect; the codegen runs' guarded reads
+find those seeds and accumulate bit-identically.
 
-On top of the per-kernel split, the module re-specialises *per bound graph*:
-:meth:`MixedGeneratedModule.specialise_for_occupancy` re-emits the codegen
-segments unrolled over only the *occupied* relations of the bound graph's
-schema (``GraphBinding`` calls it at bind time), with a per-occupancy-
-signature memo so rebinding to a same-shaped graph reuses the compiled
-functions.  A 300-relation schema with four live relations runs four
-straight-line blocks instead of a 300-iteration launch loop per GEMM.
+The module also re-specialises *per bound graph*:
+:meth:`MixedGeneratedModule.specialise_for_occupancy` (``GraphBinding`` calls
+it at bind time) re-emits the codegen runs unrolled over only the *occupied*
+relations of the bound graph, memoised per occupancy signature.  A
+300-relation schema with four live relations runs four straight-line blocks
+instead of a 300-iteration launch loop per GEMM.
 """
 
 from __future__ import annotations
 
 import threading
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -48,12 +45,11 @@ import numpy as np
 from repro.ir.intra_op.kernels import KernelInstance
 from repro.ir.intra_op.plan import KernelPlan
 
-from repro.ir.codegen.codegen_backend import (
-    MAX_UNROLL_SEGMENTS,
-    _CODEGEN_PREAMBLE,
-    _WholePlanGenerator,
-)
-from repro.ir.codegen.python_backend import GeneratedModule
+from repro.ir.codegen.artifact_cache import artifact_key_for, load_source
+from repro.ir.codegen.passes import MAX_UNROLL_SEGMENTS
+from repro.ir.codegen.printer import _CODEGEN_PREAMBLE, join_module, print_dispatcher
+from repro.ir.codegen.python_backend import GeneratedModule, kernel_function, whole_plan_function
+from repro.ir.codegen.registry import BackendOptions
 
 #: Assignment tokens: which executor a kernel runs on.
 ASSIGN_INTERP = "interp"
@@ -112,39 +108,21 @@ def _default_token(kernel: KernelInstance, workload, device) -> str:
     return ASSIGN_CODEGEN if time.bound == "latency" else ASSIGN_INTERP
 
 
-def _partition_runs(
-    kernels: Sequence[KernelInstance], assignment: Dict[str, str]
-) -> List[Tuple[str, List[KernelInstance]]]:
-    """Maximal runs of same-assignment kernels, in plan order."""
-    runs: List[Tuple[str, List[KernelInstance]]] = []
-    for kernel in kernels:
-        token = assignment[kernel.name]
-        if runs and runs[-1][0] == token:
-            runs[-1][1].append(kernel)
-        else:
-            runs.append((token, [kernel]))
-    return runs
+def _touched_gradients(kernel: KernelInstance) -> Set[str]:
+    """Gradient buffers ``kernel`` may write (overapproximation-safe).
 
-
-def _grad_bases(kernel: KernelInstance) -> Set[str]:
-    """Buffers whose gradients ``kernel`` may write (overapproximation-safe).
-
-    Used to seed a following codegen segment's ``pre_touched`` set: a buffer
-    wrongly included only disables fresh-scatter specialisation for it, a
-    buffer wrongly *excluded* would corrupt gradients, so backward traversal
-    kernels (which carry the forward micro-op list and write the adjoint of
-    every statement input) contribute all their micro-op operands.
+    Tells a following codegen run what is ``pre_touched``: a buffer wrongly
+    included only disables fresh-scatter specialisation for it, a buffer
+    wrongly *excluded* would corrupt gradients, so backward traversal kernels
+    (which carry the forward micro-op list and write the adjoint of every
+    statement input) contribute all their micro-op operands.
     """
-    bases: Set[str] = set()
-    for name in kernel.written_buffers():
-        if name.startswith("grad_"):
-            bases.add(name[len("grad_") :])
+    touched = {name for name in kernel.written_buffers() if name.startswith("grad_")}
     micro_ops = getattr(kernel, "micro_ops", None)
     if micro_ops is not None and kernel.direction == "backward":
         for op in micro_ops:
-            bases.update(op.inputs)
-            bases.add(op.output)
-    return bases
+            touched.update(f"grad_{name}" for name in (*op.inputs, op.output))
+    return touched
 
 
 def occupancy_signature(ctx) -> Tuple[tuple, tuple]:
@@ -161,63 +139,47 @@ def occupancy_signature(ctx) -> Tuple[tuple, tuple]:
 # ----------------------------------------------------------------------
 # Generation
 # ----------------------------------------------------------------------
-class _MixedPlanGenerator(_WholePlanGenerator):
+def mixed_source(
+    plan: KernelPlan,
+    assignment: Dict[str, str],
+    num_edge_types: Optional[int] = None,
+    num_node_types: Optional[int] = None,
+    occupancy: Optional[tuple] = None,
+) -> str:
     """Emit interp kernel functions + codegen segments + plan-order dispatchers.
 
-    Interp-assigned kernels reuse the parent interp templates *verbatim*
-    (same functions the ``python-interp`` backend executes); codegen runs go
-    through :class:`_WholePlanGenerator`'s whole-plan pipeline with
-    ``pre_touched`` seeded from everything earlier in the plan.
+    Interp-assigned kernels are the per-kernel functions ``python-interp``
+    executes, verbatim; each codegen run goes through the whole-plan pipeline
+    with ``pre_touched`` seeded from everything earlier in the plan.
     """
-
-    def __init__(
-        self,
-        plan: KernelPlan,
-        num_edge_types: Optional[int] = None,
-        num_node_types: Optional[int] = None,
-        assignment: Optional[Dict[str, str]] = None,
-        occupancy: Optional[tuple] = None,
-    ):
-        super().__init__(plan, num_edge_types, num_node_types, occupancy=occupancy)
-        self.assignment = dict(assignment or {})
-
-    def generate(self) -> str:
-        chunks = [_CODEGEN_PREAMBLE]
-        for direction, kernels, main in (
-            ("forward", self.plan.forward_kernels, "main_forward"),
-            ("backward", self.plan.backward_kernels, "main_backward"),
-        ):
-            runs = _partition_runs(kernels, self.assignment)
-            counts = {ASSIGN_INTERP: 0, ASSIGN_CODEGEN: 0}
-            for kernel in kernels:
-                counts[self.assignment[kernel.name]] += 1
-            dispatch = [f"def {main}(env, ctx):"]
-            dispatch.append(
-                f'    """Mixed {direction} of {self.plan.name}: '
-                f'{counts[ASSIGN_INTERP]} interp kernels, '
-                f'{counts[ASSIGN_CODEGEN]} codegen-segment kernels."""'
-            )
-            touched: Set[str] = set()
-            for index, (token, run) in enumerate(runs):
-                if token == ASSIGN_CODEGEN:
-                    seg_name = f"_seg_{direction}_{index}"
-                    self.pre_touched = (
-                        {f"_b_grad_{base}" for base in touched}
-                        if direction == "backward"
-                        else set()
+    chunks: List[str] = []
+    for direction, kernels in (("forward", plan.forward_kernels), ("backward", plan.backward_kernels)):
+        counts = {ASSIGN_INTERP: 0, ASSIGN_CODEGEN: 0}
+        callees: List[str] = []
+        touched: Set[str] = set()
+        # Maximal runs of same-assignment kernels, in plan order.
+        for index, (token, run) in enumerate(groupby(kernels, key=lambda kernel: assignment[kernel.name])):
+            run = list(run)
+            counts[token] += len(run)
+            if token == ASSIGN_CODEGEN:
+                callees.append(f"_seg_{direction}_{index}")
+                chunks.append(
+                    whole_plan_function(
+                        callees[-1], direction, run, plan, num_edge_types, num_node_types, occupancy, touched
                     )
-                    chunks.append(self._generate_main(seg_name, direction, run))
-                    dispatch.append(f"    {seg_name}(env, ctx)")
-                else:
-                    for kernel in run:
-                        chunks.append(self._generate_kernel(kernel))
-                        dispatch.append(f"    kernel_{kernel.name}(env, ctx)")
-                if direction == "backward":
-                    for kernel in run:
-                        touched |= _grad_bases(kernel)
-            dispatch.append("    return env")
-            chunks.append("\n".join(dispatch))
-        return "\n\n".join(chunks) + "\n"
+                )
+            else:
+                callees += [f"kernel_{kernel.name}" for kernel in run]
+                chunks += [kernel_function(kernel) for kernel in run]
+            if direction == "backward":
+                for kernel in run:
+                    touched |= _touched_gradients(kernel)
+        doc = (
+            f"Mixed {direction} of {plan.name}: {counts[ASSIGN_INTERP]} interp kernels, "
+            f"{counts[ASSIGN_CODEGEN]} codegen-segment kernels."
+        )
+        chunks.append(print_dispatcher(f"main_{direction}", doc, callees))
+    return join_module(_CODEGEN_PREAMBLE, chunks)
 
 
 class MixedGeneratedModule:
@@ -305,78 +267,41 @@ class MixedGeneratedModule:
             return self._occupancy_memo.setdefault(sig, variant)
 
     def _build_variant(self, sig: tuple) -> GeneratedModule:
-        from repro.ir.codegen.artifact_cache import artifact_key_for, load_or_generate
-
         key = None
         if self.artifact_key is not None:
             key = artifact_key_for(self.artifact_key, ("occupancy", sig))
 
         def generate() -> str:
-            return _MixedPlanGenerator(
-                self.plan,
-                self.num_edge_types,
-                self.num_node_types,
-                assignment=self.assignment,
-                occupancy=sig,
-            ).generate()
+            return mixed_source(self.plan, self.assignment, self.num_edge_types, self.num_node_types, sig)
 
-        source, code = load_or_generate(key, f"<hector-mixed:{self.plan.name}:occupancy>", generate)
-        namespace: Dict[str, object] = {}
-        exec(code, namespace)
-        return GeneratedModule(
-            source=source,
-            forward_functions={},
-            backward_functions={},
-            forward_program=namespace["main_forward"],
-            backward_program=namespace["main_backward"],
-            seeds_gradients=False,
-        )
+        source, namespace = load_source(key, f"<hector-mixed:{self.plan.name}:occupancy>", generate)
+        return GeneratedModule(source, {}, {}, namespace["main_forward"], namespace["main_backward"])
 
 
-def build_mixed_module(
-    plan: KernelPlan,
-    num_edge_types: Optional[int] = None,
-    num_node_types: Optional[int] = None,
-    workload=None,
-    assignment: Optional[Sequence[Tuple[str, str]]] = None,
-    artifact_key: Optional[str] = None,
-) -> MixedGeneratedModule:
+def build_mixed_module(plan: KernelPlan, options: BackendOptions) -> MixedGeneratedModule:
     """Generate and compile the mixed module (the ``mixed`` registrant).
 
-    Args:
-        plan: the lowered kernel plan.
-        num_edge_types / num_node_types: schema relation counts (as for
-            ``build_codegen_module``).
-        workload: optional :class:`~repro.evaluation.workload.WorkloadSpec`
-            for cost-model-guided default assignment.
-        assignment: explicit ``(kernel_name, token)`` overrides (the tuner's
-            beam output); unnamed kernels fall back to the default policy.
-        artifact_key: persistent-cache base key; the resolved assignment is
-            folded in, since workload-derived assignments can differ under
-            one compilation key.
+    ``options.mixed_assignment`` overrides the default per-kernel policy,
+    which prices kernels on ``options.workload`` when given.  The resolved
+    assignment is folded into the artifact key, since workload-derived
+    assignments can differ under one compilation key.
     """
-    from repro.ir.codegen.artifact_cache import artifact_key_for, load_or_generate
-
-    resolved = resolve_assignment(plan, workload=workload, explicit=assignment)
+    resolved = resolve_assignment(plan, workload=options.workload, explicit=options.mixed_assignment)
     key = None
-    if artifact_key is not None:
-        key = artifact_key_for(artifact_key, ("assignment", tuple(sorted(resolved.items()))))
+    if options.artifact_key is not None:
+        key = artifact_key_for(options.artifact_key, ("assignment", tuple(sorted(resolved.items()))))
 
     def generate() -> str:
-        return _MixedPlanGenerator(
-            plan, num_edge_types, num_node_types, assignment=resolved
-        ).generate()
+        return mixed_source(plan, resolved, options.num_edge_types, options.num_node_types)
 
-    source, code = load_or_generate(key, f"<hector-mixed:{plan.name}>", generate)
-    namespace: Dict[str, object] = {}
-    exec(code, namespace)
+    source, namespace = load_source(key, f"<hector-mixed:{plan.name}>", generate)
     return MixedGeneratedModule(
         source=source,
         forward_program=namespace["main_forward"],
         backward_program=namespace["main_backward"],
         plan=plan,
-        num_edge_types=num_edge_types,
-        num_node_types=num_node_types,
+        num_edge_types=options.num_edge_types,
+        num_node_types=options.num_node_types,
         assignment=resolved,
-        artifact_key=artifact_key,
+        artifact_key=options.artifact_key,
     )

@@ -1,9 +1,7 @@
 """Backend registry: pluggable code-generation targets for kernel plans.
 
-Execution used to be hardwired — ``frontend/compiler.py`` imported
-``generate_python_module`` and ``generate_cuda_source`` directly.  The
-registry decouples plan lowering from artifact generation behind a small
-protocol, in the style of gt4py's ``BaseBackend`` + ``register`` pattern:
+Decouples plan lowering from artifact generation behind a small protocol, in
+the style of gt4py's ``BaseBackend`` + ``register`` pattern:
 
 * :class:`Backend` — ``name``, ``generate(plan, options) -> module``, and the
   capability flags ``executes`` (produces runnable callables),
@@ -12,24 +10,13 @@ protocol, in the style of gt4py's ``BaseBackend`` + ``register`` pattern:
 * :func:`register_backend` / :func:`get_backend` / :func:`available_backends`
   — the registry surface, re-exported from :mod:`repro`.
 
-Three backends are registered on import:
+Registered on import: ``python-interp``, ``python-codegen`` and ``mixed`` —
+three selections over the one builder → passes → printer pipeline (see
+:mod:`repro.ir.codegen`) — and the print-only ``cuda-emit``.
 
-* ``python-interp`` — one Python function per kernel plus a fused dispatch
-  program (:func:`repro.ir.codegen.python_backend.build_python_module`);
-  today's :class:`~repro.runtime.executor.PlanExecutor` path.
-* ``python-codegen`` — one specialised whole-plan ``main_forward`` /
-  ``main_backward`` source function, kernels inlined and segment loops
-  unrolled (:func:`repro.ir.codegen.codegen_backend.build_codegen_module`).
-* ``mixed`` — per-kernel backend selection: interp functions for
-  numpy-bound traversal kernels, whole-plan codegen segments for
-  dispatch-bound chains, one dispatcher in plan order
-  (:func:`repro.ir.codegen.mixed_backend.build_mixed_module`).
-* ``cuda-emit`` — CUDA-like source text only
-  (:func:`repro.ir.codegen.cuda_backend.build_cuda_source`); inspection and
-  the programming-effort metric, never execution.
-
-New executing targets (numba, C via ctypes, …) drop in as further
-registrants: subclass :class:`Backend`, return an object exposing
+A new executing target (numba, C via ctypes, …) is a further registrant — and,
+over the same statement IR, a second printer rather than another emitter:
+subclass :class:`Backend`, return an object exposing
 ``forward_program(env, ctx)`` / ``backward_program(env, ctx)``, and select it
 with ``CompilerOptions(backend="<name>")``.
 """
@@ -181,15 +168,9 @@ class PythonCodegenBackend(Backend):
     supports_training = True
 
     def generate(self, plan: KernelPlan, options: Optional[BackendOptions] = None):
-        from repro.ir.codegen.codegen_backend import build_codegen_module
+        from repro.ir.codegen.python_backend import build_codegen_module
 
-        options = options or BackendOptions()
-        return build_codegen_module(
-            plan,
-            num_edge_types=options.num_edge_types,
-            num_node_types=options.num_node_types,
-            artifact_key=options.artifact_key,
-        )
+        return build_codegen_module(plan, options or BackendOptions())
 
 
 class MixedBackend(Backend):
@@ -203,15 +184,7 @@ class MixedBackend(Backend):
     def generate(self, plan: KernelPlan, options: Optional[BackendOptions] = None):
         from repro.ir.codegen.mixed_backend import build_mixed_module
 
-        options = options or BackendOptions()
-        return build_mixed_module(
-            plan,
-            num_edge_types=options.num_edge_types,
-            num_node_types=options.num_node_types,
-            workload=options.workload,
-            assignment=options.mixed_assignment,
-            artifact_key=options.artifact_key,
-        )
+        return build_mixed_module(plan, options or BackendOptions())
 
 
 class CudaEmitBackend(Backend):

@@ -174,6 +174,12 @@ class GraphBinding:
         binding's forward on the same pooled arena in between overwrites the
         forward intermediates backward re-reads, and is rejected below.
         """
+        if not self.executor.plan.backward_kernels:
+            raise RuntimeError(
+                "backward() on a forward-only plan: the module was compiled with "
+                "emit_backward=False, so it has no backward kernels; recompile with "
+                "CompilerOptions(emit_backward=True) to train"
+            )
         if self._last_env is None:
             raise RuntimeError("backward() called before forward() on this binding")
         if self.arena is not None and self.arena.bind_count != self._forward_generation:

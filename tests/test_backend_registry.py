@@ -1,4 +1,4 @@
-"""Backend registry API: registration, capabilities, selection, deprecations."""
+"""Backend registry API: registration, capabilities, selection."""
 
 import numpy as np
 import pytest
@@ -15,8 +15,6 @@ from repro.ir.codegen import (
     get_backend,
     register_backend,
 )
-from repro.ir.codegen.cuda_backend import generate_cuda_source
-from repro.ir.codegen.python_backend import generate_python_module
 from repro.models import build_program
 
 DIM = 4
@@ -185,17 +183,7 @@ class TestCodegenBackendEquivalence:
         assert codegen.backend == "python-codegen"
 
 
-class TestDeprecatedAliases:
-    def test_generate_python_module_warns_and_delegates(self, plan):
-        with pytest.warns(DeprecationWarning, match="python-interp"):
-            module = generate_python_module(plan)
-        assert module.forward_program is not None
-
-    def test_generate_cuda_source_warns_and_delegates(self, plan):
-        with pytest.warns(DeprecationWarning, match="cuda-emit"):
-            text = generate_cuda_source(plan)
-        assert text == get_backend("cuda-emit").generate(plan).source
-
+class TestSourceModule:
     def test_source_module_line_count(self, plan):
         artifact = get_backend("cuda-emit").generate(plan)
         assert isinstance(artifact, SourceModule)

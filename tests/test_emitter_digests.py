@@ -19,7 +19,6 @@ import json
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.frontend.compiler import compile_program
 from repro.frontend.config import CompilerOptions

@@ -96,6 +96,14 @@ class TestFrontend:
         module = get_backend("python-interp").generate(result.plan)
         assert module.backward_functions == {}
 
+    def test_backward_on_a_forward_only_plan_is_an_error(self, small_graph):
+        module = compile_model("rgcn", small_graph, in_dim=4, out_dim=4,
+                               options=CompilerOptions(emit_backward=False))
+        features = np.random.default_rng(0).standard_normal((small_graph.num_nodes, 4))
+        out = module.forward(features)[module.output_name]
+        with pytest.raises(RuntimeError, match="emit_backward=False"):
+            module.backward({module.output_name: np.ones_like(out)})
+
 
 class TestReferenceModels:
     def test_reference_load_parameters_validation(self, small_graph):
