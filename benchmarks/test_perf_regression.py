@@ -104,10 +104,10 @@ def _assert_speedup(model, iterations):
     )
 
 
-#: Cells the codegen-backend gate may claim its speedup on: (model, nodes,
-#: edges, node types, edge types, dim).  Dispatch-bound shapes — the regime
-#: whole-plan codegen targets; at large dims both backends converge on the
-#: same numpy GEMM/scatter work and the ratio tends to 1.
+#: Cells of the codegen-backend gate: (model, nodes, edges, node types, edge
+#: types, dim).  Dispatch-bound shapes — the regime whole-plan codegen
+#: targets; at large dims both backends converge on the same numpy
+#: GEMM/scatter work and the ratio tends to 1.
 _CODEGEN_CELLS = [
     ("rgcn", 120, 500, 3, 6, 16),
     ("rgcn", 120, 500, 3, 6, 32),
@@ -129,48 +129,53 @@ def _forward_throughput(module, features, iterations, repeats=7):
 
 @pytest.mark.smoke
 def test_codegen_backend_speedup_over_interp():
-    """python-codegen ≥ 1.5× python-interp on at least one serving cell.
+    """python-codegen forward is never slower than python-interp, on any cell.
 
-    The whole-plan codegen backend exists to win the compile-once-run-many
-    path; this gate pins that win.  Best-of-N timing per backend and a max
-    over several cells keep the assertion robust to scheduler noise — the
-    claim is "the backend wins somewhere dispatch-bound", not a per-cell SLA.
+    Both backends run the same numpy kernels (same scatter helper, same
+    GEMMs); what whole-plan codegen removes is dispatch — per-kernel calls,
+    ``env``/``ctx`` lookups, runtime segment loops — so its forward must cost
+    no more CPU than interp's on every cell.  Measured in ``time.thread_time``
+    (CPU time of this thread), best of N batches with the two backends'
+    batches interleaved, so a slow stretch of the shared host lands on both
+    sides.  Absolute times are in ``BENCH_<pr>.json`` (``infer_ms.interp`` /
+    ``infer_ms.codegen``).
     """
     rows = []
-    best_speedup = 0.0
     for model, nodes, edges, ntypes, etypes, dim in _CODEGEN_CELLS:
         graph = random_hetero_graph(
             num_nodes=nodes, num_edges=edges, num_node_types=ntypes,
             num_edge_types=etypes, seed=7, name="codegen-perf",
         )
         features = _features(graph, dim)
-        times = {}
-        outputs = {}
-        for backend in ("python-interp", "python-codegen"):
-            options = FAST_OPTIONS.with_(backend=backend, emit_backward=False)
-            module = compile_model(model, graph, in_dim=dim, out_dim=dim, options=options)
-            times[backend] = _forward_throughput(module, features, iterations=150)
-            outputs[backend] = module.forward(features)
-        for name in outputs["python-interp"]:
-            np.testing.assert_allclose(
-                outputs["python-interp"][name], outputs["python-codegen"][name], atol=1e-12
+        modules = {
+            backend: compile_model(
+                model, graph, in_dim=dim, out_dim=dim,
+                options=FAST_OPTIONS.with_(backend=backend, emit_backward=False),
             )
-        speedup = times["python-interp"] / times["python-codegen"]
-        best_speedup = max(best_speedup, speedup)
+            for backend in ("python-interp", "python-codegen")
+        }
+        outputs = {backend: module.forward(features) for backend, module in modules.items()}  # also warms
+        for name in outputs["python-interp"]:
+            assert outputs["python-interp"][name].tobytes() == outputs["python-codegen"][name].tobytes()
+        times = dict.fromkeys(modules, float("inf"))
+        for _ in range(15):
+            for backend, module in modules.items():
+                start = time.thread_time()
+                for _ in range(50):
+                    module.forward(features)
+                times[backend] = min(times[backend], (time.thread_time() - start) / 50)
         rows.append({
             "model": model,
             "graph": f"{nodes}n/{edges}e/{ntypes}nt/{etypes}et",
             "dim": dim,
             "interp_us": round(times["python-interp"] * 1e6, 1),
             "codegen_us": round(times["python-codegen"] * 1e6, 1),
-            "speedup": round(speedup, 2),
+            "speedup": round(times["python-interp"] / times["python-codegen"], 2),
         })
     print()
-    print(format_table(rows, title="Perf regression — python-codegen vs python-interp forward throughput"))
-    assert best_speedup >= 1.5, (
-        f"codegen backend regressed: best speedup {best_speedup:.2f}x < 1.5x over "
-        f"python-interp across {len(_CODEGEN_CELLS)} cells"
-    )
+    print(format_table(rows, title="Perf regression — python-codegen vs python-interp forward CPU time"))
+    slower = [row for row in rows if row["codegen_us"] > row["interp_us"]]
+    assert not slower, f"codegen forward slower than python-interp on: {slower}"
 
 
 def _sparse_hgt_cell(num_edge_types=300, occupied=4, nodes_per_type=48, edges_per_relation=60):

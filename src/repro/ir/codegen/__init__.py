@@ -6,17 +6,20 @@ into Python/numpy source through the same three stages:
 1. **builder** (:mod:`~repro.ir.codegen.builder`) — instantiates each
    kernel's GEMM / traversal / fallback template into a small statement IR
    (:mod:`~repro.ir.codegen.stmt`) with typed buffer, context and
-   segment-index references;
+   segment-index references; rows are stored by type, so a segment is a
+   slice (a view, never a gather) and a dgrad scatters once, after its loop;
 2. **passes** (:mod:`~repro.ir.codegen.passes`) — IR→IR: merged adjoint and
    forward-projection segment loops, schema/occupancy unrolling,
    fresh-scatter specialisation, ensure-grad fusion;
 3. **printer** (:mod:`~repro.ir.codegen.printer`) — one walker under a naming
    policy (per-kernel functions over ``env``/``ctx``, or one whole-plan
-   function over hoisted locals).
+   function over hoisted locals); generated modules import their helpers
+   (ensures, the one segment-sum scatter) from :mod:`~repro.ir.codegen.helpers`.
 
 The backends, selected through :mod:`~repro.ir.codegen.registry`
 (``get_backend(name)``) or ``CompilerOptions(backend="...")``, are selections
-over that pipeline and bit-identical to each other:
+over that pipeline and bit-identical to each other (``allclose`` to the eager
+reference):
 
 * ``python-interp`` — no passes, one function per kernel plus a fused
   dispatch program; the default runtime path.

@@ -24,7 +24,6 @@ from repro.ir.codegen.stmt import (
     KernelBody,
     Local,
     Raw,
-    RowsOf,
     Scatter,
     SegmentLoop,
     SegVar,
@@ -61,31 +60,36 @@ def build_kernel(kernel: KernelInstance) -> KernelBody:
 # ======================================================================
 # GEMM template
 # ======================================================================
-def _segment_axis(kernel: GemmKernel) -> Optional[Tuple[str, str]]:
-    """``(segment pointer, segment count)`` context attributes of the launch loop."""
+def _segment_axis(kernel: GemmKernel) -> Tuple[Optional[str], Optional[str]]:
+    """``(segment pointer, segment count)`` context attributes of the launch loop, if it has one."""
     if kernel.m_space is Space.EDGE:
         return "etype_ptr", "num_etypes"
     if kernel.m_space is Space.COMPACT:
         return "unique_etype_ptr", "num_etypes"
     if kernel.m_space is Space.NODE and kernel.type_selector in _NTYPE_SELECTORS:
         return "ntype_ptr", "num_ntypes"
-    return None
+    return None, None
+
+
+def _segment_header(ptr: str, count: str) -> List[Stmt]:
+    return [Assign("seg_ptr", (Ctx(ptr, as_list=True),)), Assign("num_segments", (Ctx(count),))]
 
 
 def _gemm(kernel: GemmKernel) -> List[Stmt]:
-    axis = _segment_axis(kernel)
-    if axis is None:
+    ptr, count = _segment_axis(kernel)
+    if ptr is None:
         stmts = [Assign("seg_ptr", ("None",)), Assign("num_segments", ("1",))]
     else:
-        stmts = [Assign("seg_ptr", (Ctx(axis[0], as_list=True),)), Assign("num_segments", (Ctx(axis[1]),))]
+        stmts = _segment_header(ptr, count)
     template = {"forward": _gemm_forward, "dgrad": _gemm_dgrad, "wgrad": _gemm_wgrad}.get(kernel.role)
     if template is None:
         raise ValueError(f"unknown GEMM role {kernel.role!r}")
-    pre, dense, segment = template(kernel)
-    stmts += pre
-    if kernel.type_selector == "none":
-        return stmts + [dense]
-    return stmts + [SegmentLoop(axis[1] if axis else None, tuple(segment))]
+    pre, dense, typed = template(kernel)
+    return stmts + pre + ([dense] if kernel.type_selector == "none" else typed)
+
+
+def _segment_loop(kernel: GemmKernel, body: List[Stmt]) -> SegmentLoop:
+    return SegmentLoop(_segment_axis(kernel)[1], tuple(body))
 
 
 def _weight_index(kernel: GemmKernel) -> Expr:
@@ -97,21 +101,20 @@ def _weight_index(kernel: GemmKernel) -> Expr:
     return ("None",)
 
 
-def _rows(kernel: GemmKernel) -> Assign:
-    if kernel.m_space is Space.EDGE:
-        return Assign("rows", (Ctx("etype_perm"), "[start:end]"))
-    return Assign("rows", ("np.arange(start, end)",))
+#: Rows of the current segment: edges are stored by relation (``GraphContext.from_graph``
+#: rejects any other order), unique pairs and nodes by type, so indexing through it is a view.
+_ROWS = Assign("rows", ("slice(start, end)",))
 
 
 def _gather_index(gather: GatherKind) -> Expr:
     attr = _GATHER_INDEX.get(gather)
-    return ("rows",) if attr is None else (RowsOf(attr),)
+    return ("rows",) if attr is None else (Ctx(attr), "[rows]")
 
 
 def _rows_and_gather(kernel: GemmKernel) -> List[Stmt]:
     """Per-segment row indexes and the gather of X through its access scheme."""
     index = _gather_index(kernel.x.access.gather)
-    return [_rows(kernel), Assign("Xg", expr(Buf(kernel.x.buffer), "[", index, "]"))]
+    return [_ROWS, Assign("Xg", expr(Buf(kernel.x.buffer), "[", index, "]"))]
 
 
 def _grad_base(buffer: str) -> str:
@@ -128,31 +131,37 @@ def _gemm_forward(kernel: GemmKernel):
         Assign("W_t", expr(Buf(kernel.weight.buffer), "[", _weight_index(kernel), "]")),
         Update(out, ("rows",), ("Xg @ W_t",), "="),
     ]
-    return pre, dense, segment
+    return pre, dense, [_segment_loop(kernel, segment)]
 
 
 def _gemm_dgrad(kernel: GemmKernel):
     """``dX[G] += dY[S] × Wᵀ[T]`` — gradient w.r.t. the gathered input rows.
 
     For a dgrad kernel ``x`` holds grad_Y (access = forward Y scatter) and
-    ``y`` holds grad_X (access = forward X gather).
+    ``y`` holds grad_X (access = forward X gather).  Under a gather every
+    segment writes its rows of one M-space buffer and one scatter-add through
+    the gather list follows the loop: one kernel for all relations.
     """
     grad_y, weight = Buf(kernel.x.buffer), Buf(kernel.weight.buffer)
     grad_x = Local("grad_X", kernel.y.buffer)
     pre = [EnsureGrad(_grad_base(kernel.y.buffer)), Assign("grad_X", (Buf(kernel.y.buffer),))]
     dense = Update(grad_x, None, (grad_y, " @ ", weight, ".T"))
     segment = [
-        _rows(kernel),
+        _ROWS,
         Assign("gY", (grad_y, "[rows]")),
         Assign("W_t", expr(weight, "[", _weight_index(kernel), "]")),
-        Assign("contrib", ("gY @ W_t.T",)),
     ]
-    # Scatter-add the contribution into grad_X through the forward gather list.
-    if kernel.y.access.gather in _GATHER_INDEX:
-        segment.append(Scatter(grad_x, _gather_index(kernel.y.access.gather), ("contrib",)))
-    else:
-        segment.append(Update(grad_x, ("rows",), ("contrib",)))
-    return pre, dense, segment
+    attr = _GATHER_INDEX.get(kernel.y.access.gather)
+    if attr is None:
+        segment.append(Update(grad_x, ("rows",), ("gY @ W_t.T",)))
+        return pre, dense, [_segment_loop(kernel, segment)]
+    shape = ("(", Ctx(_SPACE_ROWS[kernel.m_space]), f", {kernel.n_dim})")
+    segment.append(Update(Local("contrib"), ("rows",), ("gY @ W_t.T",), "="))
+    return pre, dense, [
+        Assign("contrib", expr("np.empty(", shape, ", dtype=", grad_y, ".dtype)")),
+        _segment_loop(kernel, segment),
+        Scatter(grad_x, (Ctx(attr),), ("contrib",)),
+    ]
 
 
 def _gemm_wgrad(kernel: GemmKernel):
@@ -165,7 +174,7 @@ def _gemm_wgrad(kernel: GemmKernel):
         Assign("gY", (grad_y, "[rows]")),
         Update(grad_w, _weight_index(kernel), ("Xg.T @ gY",)),
     ]
-    return pre, dense, segment
+    return pre, dense, [_segment_loop(kernel, segment)]
 
 
 # ======================================================================
@@ -184,7 +193,7 @@ def _traversal(kernel: TraversalKernel) -> List[Stmt]:
             stmts += _forward_micro_op(kernel, op)
     else:
         for op in reversed(kernel.micro_ops):
-            stmts += _backward_micro_op(op)
+            stmts += _backward_micro_op(kernel, op)
     return stmts
 
 
@@ -276,7 +285,22 @@ def _accumulate_grad(op: MicroOp, position: int, *grad) -> List[Stmt]:
     return [EnsureGrad(name), Scatter(target, index, expr(*grad))]
 
 
-def _backward_micro_op(op: MicroOp) -> List[Stmt]:
+#: Relation segment pointer of a traversal domain whose rows are stored by relation.
+_ETYPE_SEGMENTS = {Space.EDGE: "etype_ptr", Space.COMPACT: "unique_etype_ptr"}
+
+
+def _typed_weight_adjoint(kernel: TraversalKernel, op: MicroOp) -> List[Stmt]:
+    """Adjoint of ``typed_vec_dot``'s weight: ``grad_w[t] += g[s:e] @ x[s:e]``, one GEMV over each
+    relation's contiguous rows instead of an E×d product scattered into a handful of weight rows."""
+    x, weight = op.inputs
+    index = _access_index(op, _access(op, 0))
+    rows = ("[start:end]",) if index is None else expr("[", index, "[start:end]]")
+    gemv = Update(Buf(f"grad_{weight}"), (SegVar(),), expr("_g[start:end] @ ", Buf(x), rows))
+    header = _segment_header(_ETYPE_SEGMENTS[kernel.domain], "num_etypes")
+    return [EnsureGrad(weight), *header, SegmentLoop("num_etypes", (gemv,))]
+
+
+def _backward_micro_op(kernel: TraversalKernel, op: MicroOp) -> List[Stmt]:
     stmts: List[Stmt] = [Raw((f"# adjoint of {op.output} = {op.kind}({', '.join(op.inputs)})",))]
     out = op.output
     operands = [_operand(op, position) for position in range(len(op.inputs))]
@@ -293,7 +317,11 @@ def _backward_micro_op(op: MicroOp) -> List[Stmt]:
     stmts.append(Assign("_g", (Buf(f"grad_{out}"),)))
     if op.kind in ("dot", "typed_vec_dot"):
         stmts += _accumulate_grad(op, 0, "_g[:, None] * ", operands[1])
-        stmts += _accumulate_grad(op, 1, "_g[:, None] * ", operands[0])
+        by_relation = op.kind == "typed_vec_dot" and _access_index(op, "weight") == ("typ",)
+        if by_relation and kernel.domain in _ETYPE_SEGMENTS:
+            stmts += _typed_weight_adjoint(kernel, op)
+        else:
+            stmts += _accumulate_grad(op, 1, "_g[:, None] * ", operands[0])
     elif op.kind == "binary":
         symbol = op.attrs.get("op", "add")
         scalars = op.attrs.get("scalar", {})

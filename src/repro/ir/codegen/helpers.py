@@ -1,0 +1,101 @@
+"""Runtime helpers every generated module imports.
+
+Imported, not pasted into each emitted source, so ``compile()`` never
+re-parses them and the artifact fingerprint (every ``*.py`` of this package)
+covers them.  Underscore names: the generated code's private vocabulary,
+which no buffer (``_b_<name>``) or context (``_c_<attr>``) local can shadow.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def _align(a, b):
+    """Broadcast a per-row scalar against per-row vectors."""
+    if a.ndim == 1 and b.ndim == 2:
+        a = a[:, None]
+    if b.ndim == 1 and a.ndim == 2:
+        b = b[:, None]
+    return a, b
+
+
+def _env_dtype(env):
+    """The floating dtype of the environment's buffers.
+
+    Inputs and parameters are installed before any kernel runs, so the first
+    floating array encountered fixes the working precision; fresh output and
+    gradient allocations follow it instead of silently upcasting a float32
+    environment to float64.
+    """
+    for value in env.values():
+        if isinstance(value, np.ndarray) and np.issubdtype(value.dtype, np.floating):
+            return value.dtype
+    return np.dtype(np.float64)
+
+
+def _ensure(env, name, shape):
+    """Fetch (or allocate) an output buffer, zero-filled.
+
+    A correctly shaped buffer already present in ``env`` — e.g. bound from a
+    preallocated arena, or left over from a previous invocation — is reused
+    in place and reset to zero, so reuse is indistinguishable from a fresh
+    ``np.zeros`` allocation.  Fresh buffers take the environment dtype
+    (see ``_env_dtype``), not a hardcoded float64.
+    """
+    if np.isscalar(shape):
+        shape = (shape,)
+    if name not in env or env[name].shape != tuple(shape):
+        env[name] = np.zeros(shape, dtype=_env_dtype(env))
+    else:
+        env[name][...] = 0.0
+    return env[name]
+
+
+def _ensure_grad(env, name):
+    """Allocate (or fetch) the gradient buffer of a forward value.
+
+    ``zeros_like`` inherits the forward buffer's dtype, so gradients never
+    upcast a float32 environment.
+    """
+    grad_name = "grad_" + name
+    if grad_name not in env:
+        env[grad_name] = np.zeros_like(env[name])
+    return env[grad_name]
+
+
+def _scatter_add(target, idx, contrib, fresh=False):
+    """``target[idx] += contrib`` over repeated indexes, as one ``np.bincount`` segment sum.
+
+    The sum runs in float64 and is rounded once, when it is added to the
+    ``[idx.min(), idx.max()]`` row window of ``target`` it was taken over —
+    or, ``fresh`` (the target's prior contents are dead), taken over every
+    row and assigned.  Every executing backend scatters through this one
+    function, so they agree bit for bit; ``np.bincount`` never yields
+    ``-0.0``, so ``fresh`` equals accumulating onto a zero-filled target.
+    Contributions that broadcast against the target rows, or carry more than
+    one feature axis, take the unbuffered ufunc.
+    """
+    row_per_index = contrib.ndim == target.ndim <= 2 and contrib.shape == (len(idx), *target.shape[1:])
+    if not row_per_index or len(idx) == 0:
+        if fresh:
+            target[...] = 0.0
+        np.add.at(target, idx, contrib)
+        return
+    if fresh:
+        low, rows = 0, len(target)
+    else:
+        low = idx.min()
+        rows = idx.max() + 1 - low
+        if low:
+            idx = idx - low
+    if target.ndim == 1:
+        window = np.bincount(idx, weights=contrib, minlength=rows)
+    else:
+        width = target.shape[1]
+        flat = (idx[:, None] * width + np.arange(width)).ravel()
+        window = np.bincount(flat, weights=contrib.ravel(), minlength=rows * width).reshape(rows, width)
+    if fresh:
+        target[...] = window
+    else:
+        target[low : low + rows] += window

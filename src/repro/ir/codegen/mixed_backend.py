@@ -47,7 +47,7 @@ from repro.ir.intra_op.plan import KernelPlan
 
 from repro.ir.codegen.artifact_cache import artifact_key_for, load_source
 from repro.ir.codegen.passes import MAX_UNROLL_SEGMENTS
-from repro.ir.codegen.printer import _CODEGEN_PREAMBLE, join_module, print_dispatcher
+from repro.ir.codegen.printer import join_module, print_dispatcher
 from repro.ir.codegen.python_backend import GeneratedModule, kernel_function, whole_plan_function
 from repro.ir.codegen.registry import BackendOptions
 
@@ -179,7 +179,7 @@ def mixed_source(
             f"{counts[ASSIGN_CODEGEN]} codegen-segment kernels."
         )
         chunks.append(print_dispatcher(f"main_{direction}", doc, callees))
-    return join_module(_CODEGEN_PREAMBLE, chunks)
+    return join_module(chunks)
 
 
 class MixedGeneratedModule:

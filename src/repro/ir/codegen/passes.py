@@ -16,12 +16,10 @@ from repro.ir.intra_op.kernels import GemmKernel
 from repro.ir.codegen.stmt import (
     Assign,
     Buf,
-    Ctx,
     Ensure,
     EnsureGrad,
     KernelBody,
     Local,
-    RowsOf,
     Scatter,
     SegmentBlock,
     SegmentLoop,
@@ -115,12 +113,14 @@ def _is_adjoint_pair(pair: Sequence[KernelBody]) -> bool:
 
 
 def _merge(group: Sequence[KernelBody], projections: bool) -> Optional[KernelBody]:
-    """Fuse bodies that each end in a segment loop over the same segments into one loop.
+    """Fuse bodies that each hold one segment loop over the same segments into one loop.
 
     The merged loop runs the first body's segment statements, then each later
     body's minus the ``shared`` local assignments the first already made; the
-    statements before the loops are concatenated without repeats.  Sound —
-    bit-identical to running the loops one after another — when
+    statements before the loops are concatenated without repeats, and so are
+    the statements after them (a dgrad's one scatter of its per-segment
+    contributions).  Sound — bit-identical to running the bodies one after
+    another — when
 
     * *forward projections* gather X identically (checked: their ``shared``
       assignments must equal the first body's), write pairwise distinct
@@ -128,60 +128,37 @@ def _merge(group: Sequence[KernelBody], projections: bool) -> Optional[KernelBod
       output after the first binds its own local (``Y2``, ``Y3`` …);
     * *a dgrad/wgrad pair* writes disjoint buffers (``grad_X`` vs ``grad_W``)
       and neither reads what the other writes, so every buffer's
-      accumulations keep their order while ``rows``/``gY``/``Xg`` are
-      gathered once per segment instead of twice.
+      accumulations keep their order while ``rows``/``gY`` are taken once per
+      segment instead of twice.
     """
     shared = _GATHER_LOCALS if projections else _SHARED_SEGMENT_LOCALS
     pre: List[Stmt] = []
     segment: List[Stmt] = []
+    post: List[Stmt] = []
     count = None
     for position, body in enumerate(group):
         stmts = body.stmts
-        if not (stmts and isinstance(stmts[-1], SegmentLoop)) or (position and stmts[-1].count != count):
+        at = next((i for i, stmt in enumerate(stmts) if isinstance(stmt, SegmentLoop)), None)
+        if at is None or (position and stmts[at].count != count):
             return None
         if position and projections:
             name = f"Y{position + 1}"
             stmts = rewrite(
                 stmts, lambda ref: Local(name, ref.buf) if isinstance(ref, Local) and ref.name == "Y" else ref
             )
-            if [s for s in stmts[-1].body if _assigns(s, shared)] != [s for s in segment if _assigns(s, shared)]:
+            if [s for s in stmts[at].body if _assigns(s, shared)] != [s for s in segment if _assigns(s, shared)]:
                 return None
-        count = stmts[-1].count
-        pre += [stmt for stmt in stmts[:-1] if stmt not in pre]
-        segment += [stmt for stmt in stmts[-1].body if not (stmt in segment and _assigns(stmt, shared))]
+        before, loop, after = stmts[:at], stmts[at], stmts[at + 1 :]
+        count = loop.count
+        pre += [stmt for stmt in before if stmt not in pre]
+        segment += [stmt for stmt in loop.body if not (stmt in segment and _assigns(stmt, shared))]
+        post += after
     return KernelBody(
         " + ".join(body.name for body in group),
         f"merged {'forward' if projections else 'adjoint'} segment loop",
-        tuple(pre) + (SegmentLoop(count, tuple(_share_rows_indexes(segment))),),
+        (*pre, SegmentLoop(count, tuple(segment)), *post),
         tuple(kernel for body in group for kernel in body.kernels),
     )
-
-
-def _share_rows_indexes(segment: List[Stmt]) -> List[Stmt]:
-    """Compute a graph index gathered through ``rows`` once when used more than once.
-
-    A merged dgrad/wgrad loop both scatters through and gathers through e.g.
-    ``edge_src[rows]``; one ``_rows_edge_src`` local per segment drops a
-    fancy-index pass.
-    """
-    counts: Dict[str, int] = {}
-
-    def count(ref):
-        if isinstance(ref, RowsOf):
-            counts[ref.attr] = counts.get(ref.attr, 0) + 1
-        return ref
-
-    rewrite(tuple(segment), count)  # used as a traversal: ``count`` returns every reference unchanged
-    repeated = [attr for attr, uses in counts.items() if uses > 1]
-    rows_at = next((i for i, stmt in enumerate(segment) if _assigns(stmt, ("rows",))), None)
-    if not repeated or rows_at is None:
-        return segment
-    shared = rewrite(
-        tuple(segment),
-        lambda ref: RowsOf(ref.attr, True) if isinstance(ref, RowsOf) and ref.attr in repeated else ref,
-    )
-    hoisted = [Assign(f"_rows_{attr}", (Ctx(attr), "[rows]")) for attr in repeated]
-    return [*shared[: rows_at + 1], *hoisted, *shared[rows_at + 1 :]]
 
 
 # ----------------------------------------------------------------------
@@ -227,15 +204,15 @@ def specialise_fresh_scatters(
 
     A scatter whose target is known to be all-zeros — a buffer its
     :class:`Ensure` just zero-filled, or a non-output gradient at its first
-    accumulation site in program order — computes a plain segment sum, which
-    ``np.bincount`` produces bit-identically (same per-bin addition order)
-    and far faster than the unbuffered ufunc.  Any update, scatter or rebind
-    marks the buffer touched, so later sites keep the accumulating scatter;
-    ``pre_touched`` names gradient buffers earlier code may already have
-    written.  Output gradients are never fresh: their seed is caller data.
+    accumulation site in program order — may assign its segment sum instead
+    of adding it (bit-identical: ``0.0 + v`` is ``v``), which saves the zero
+    fill and a read of the target.  Any update, scatter or rebind marks the
+    buffer touched, so later sites accumulate; ``pre_touched`` names gradient
+    buffers earlier code may already have written.  Output gradients are
+    never fresh: their seed is caller data.
 
     A scatter inside a *runtime* :class:`SegmentLoop` is never fresh: the body
-    runs once per segment, so a full overwrite on the second iteration would
+    runs once per segment, so an assignment on the second iteration would
     clobber the first's contributions.  Unrolled blocks are separate sites.
     """
     outputs = set(outputs)
@@ -276,7 +253,7 @@ def fuse_ensure_grads(stmts: Iterable[Stmt]) -> List[Stmt]:
 
     A dense ``+=`` onto the would-be zeros folds into the ensure (printed as
     ``(expr) + 0.0`` — elementwise ``0.0 + v`` either way, so bit-identical);
-    a fresh scatter overwrites its target fully, so the ensure allocates
+    a fresh scatter assigns every row of its target, so the ensure allocates
     uninitialised.
     """
     out: List[Stmt] = []

@@ -2,7 +2,7 @@
 
 * **per-kernel** (``python-interp``, interp-assigned kernels of ``mixed``) —
   one ``kernel_<name>(env, ctx)`` function per kernel: buffers are
-  ``env['x']``, graph arrays ``ctx.attr``, ensures call the preamble helpers
+  ``env['x']``, graph arrays ``ctx.attr``, ensures call the imported helpers
   (the only output helper zero-fills, so an ``Ensure(zero=False)`` is filled
   all the same — unobservable, and it keeps this policy to one helper).
 * **whole-plan** (``python-codegen``, codegen runs of ``mixed``) — one
@@ -43,7 +43,6 @@ from repro.ir.codegen.stmt import (
     Expr,
     Local,
     Raw,
-    RowsOf,
     Scatter,
     SegmentBlock,
     SegmentLoop,
@@ -53,117 +52,11 @@ from repro.ir.codegen.stmt import (
     Update,
 )
 
+#: Header of every generated module: the kernels below it are the whole source.
 _PREAMBLE = '''"""Generated by Hector's Python backend — do not edit by hand."""
 import numpy as np
 
-
-def _align(a, b):
-    """Broadcast a per-row scalar against per-row vectors."""
-    if a.ndim == 1 and b.ndim == 2:
-        a = a[:, None]
-    if b.ndim == 1 and a.ndim == 2:
-        b = b[:, None]
-    return a, b
-
-
-def _env_dtype(env):
-    """The floating dtype of the environment's buffers.
-
-    Inputs and parameters are installed before any kernel runs, so the first
-    floating array encountered fixes the working precision; fresh output and
-    gradient allocations follow it instead of silently upcasting a float32
-    environment to float64.
-    """
-    for value in env.values():
-        if isinstance(value, np.ndarray) and np.issubdtype(value.dtype, np.floating):
-            return value.dtype
-    return np.dtype(np.float64)
-
-
-def _ensure(env, name, shape):
-    """Fetch (or allocate) an output buffer, zero-filled.
-
-    A correctly shaped buffer already present in ``env`` — e.g. bound from a
-    preallocated arena, or left over from a previous invocation — is reused
-    in place and reset to zero, so reuse is indistinguishable from a fresh
-    ``np.zeros`` allocation.  Fresh buffers take the environment dtype
-    (see ``_env_dtype``), not a hardcoded float64.
-    """
-    if np.isscalar(shape):
-        shape = (shape,)
-    if name not in env or env[name].shape != tuple(shape):
-        env[name] = np.zeros(shape, dtype=_env_dtype(env))
-    else:
-        env[name][...] = 0.0
-    return env[name]
-
-
-def _ensure_grad(env, name):
-    """Allocate (or fetch) the gradient buffer of a forward value.
-
-    ``zeros_like`` inherits the forward buffer's dtype, so gradients never
-    upcast a float32 environment.
-    """
-    grad_name = "grad_" + name
-    if grad_name not in env:
-        env[grad_name] = np.zeros_like(env[name])
-    return env[grad_name]
-'''
-
-#: Extra helpers for the whole-plan functions: an ``_ensure`` variant for
-#: outputs every segment assignment fully overwrites, and a segment-sum
-#: scatter for targets known to be all-zeros at the call site.
-_CODEGEN_PREAMBLE = _PREAMBLE + '''
-
-def _ensure_out(env, name, shape):
-    """Fetch (or allocate, uninitialised) a fully-overwritten output buffer.
-
-    Mirrors ``_ensure``'s reuse decision exactly, but skips the zero fill:
-    callers guarantee every row is written before being read, so the initial
-    contents are unobservable and the fill is pure overhead.
-    """
-    if np.isscalar(shape):
-        shape = (shape,)
-    if name not in env or env[name].shape != tuple(shape):
-        env[name] = np.empty(shape, dtype=_env_dtype(env))
-    return env[name]
-
-
-def _scatter_fresh(target, idx, contrib):
-    """Scatter-add into an all-zeros target via ``np.bincount``.
-
-    ``np.bincount`` accumulates its weights sequentially — the exact
-    per-element addition order ``np.add.at`` applies — and every bin starts
-    from the same +0.0 the zero-filled target holds, so the stores below are
-    bit-identical to ``np.add.at(target, idx, contrib)`` at a fraction of the
-    cost.  Callers guarantee the target is fresh: either all-zeros or fully
-    overwritten below (the generator only emits this at a gradient's first
-    accumulation site, or onto a ``scatter_add`` output buffer).  Non-float64
-    and broadcasting scatters fall back to the ufunc path, zero-filling first
-    since the fast paths overwrite every element.
-    """
-    if (
-        target.dtype != np.float64
-        or contrib.dtype != np.float64
-        or contrib.ndim != target.ndim
-        or len(contrib) != len(idx)
-        or target.ndim > 2
-    ):
-        target[...] = 0.0
-        np.add.at(target, idx, contrib)
-        return
-    n = target.shape[0]
-    if target.ndim == 1:
-        target[...] = np.bincount(idx, weights=contrib, minlength=n)
-    elif target.shape[1] <= 4:
-        for j in range(target.shape[1]):
-            target[:, j] = np.bincount(idx, weights=contrib[:, j], minlength=n)
-    else:
-        d = target.shape[1]
-        flat_idx = (np.asarray(idx)[:, None] * d + np.arange(d)).ravel()
-        target[...] = np.bincount(
-            flat_idx, weights=contrib.ravel(), minlength=n * d
-        ).reshape(n, d)
+from repro.ir.codegen.helpers import _align, _ensure, _ensure_grad, _env_dtype, _scatter_add
 '''
 
 
@@ -212,8 +105,6 @@ class _Printer:
             return self.ctx(ref.attr, ref.as_list)
         if kind is Local:
             return ref.name
-        if kind is RowsOf:
-            return f"_rows_{ref.attr}" if ref.shared else f"{self.ctx(ref.attr)}[rows]"
         if kind is SegVar:
             return "t"
         raise TypeError(f"not a reference: {ref!r}")
@@ -244,9 +135,8 @@ class _Printer:
                 target += f"[{self.text(stmt.index)}]"
             emit(f"{indent}{target} {stmt.op} {self.text(stmt.value)}")
         elif kind is Scatter:
-            call = "_scatter_fresh" if stmt.fresh else "np.add.at"
-            target = self.ref(stmt.target)
-            emit(f"{indent}{call}({target}, {self.text(stmt.index)}, {self.text(stmt.contrib)})")
+            args = f"{self.ref(stmt.target)}, {self.text(stmt.index)}, {self.text(stmt.contrib)}"
+            emit(f"{indent}_scatter_add({args}{', fresh=True' if stmt.fresh else ''})")
         elif kind is Ensure:
             self._ensure(stmt, indent)
         elif kind is EnsureGrad:
@@ -338,6 +228,6 @@ def print_dispatcher(name: str, doc: str, callees: Iterable[str]) -> str:
     return "\n".join(lines)
 
 
-def join_module(preamble: str, chunks: Iterable[str]) -> str:
-    """Assemble a generated module: preamble, then functions two lines apart."""
-    return "\n\n".join([preamble, *chunks]) + "\n"
+def join_module(chunks: Iterable[str]) -> str:
+    """Assemble a generated module: the import header, then functions two lines apart."""
+    return "\n\n".join([_PREAMBLE, *chunks]) + "\n"

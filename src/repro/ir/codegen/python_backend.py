@@ -19,7 +19,7 @@ from repro.ir.intra_op.plan import KernelPlan
 from repro.ir.codegen.artifact_cache import load_source
 from repro.ir.codegen.builder import build_kernel
 from repro.ir.codegen.passes import fuse_ensure_grads, merge_adjacent, specialise_fresh_scatters, unroll_segments
-from repro.ir.codegen.printer import _CODEGEN_PREAMBLE, _PREAMBLE, join_module, print_dispatcher, print_function
+from repro.ir.codegen.printer import join_module, print_dispatcher, print_function
 from repro.ir.codegen.registry import BackendOptions
 from repro.ir.codegen.stmt import Raw, Stmt
 
@@ -110,7 +110,7 @@ def build_python_module(plan: KernelPlan) -> GeneratedModule:
             doc = f"Fused {direction} program of plan {plan.name}: {len(kernels)} kernels, one dispatch."
             callees = [f"kernel_{kernel.name}" for kernel in kernels]
             chunks.append(print_dispatcher(f"hector_{direction}", doc, callees))
-        return join_module(_PREAMBLE, chunks)
+        return join_module(chunks)
 
     source, namespace = load_source(None, f"<hector:{plan.name}>", generate)
     return GeneratedModule(
@@ -131,11 +131,10 @@ def build_codegen_module(plan: KernelPlan, options: BackendOptions) -> Generated
     def generate() -> str:
         schema = (plan, options.num_edge_types, options.num_node_types)
         return join_module(
-            _CODEGEN_PREAMBLE,
             [
                 whole_plan_function("main_forward", "forward", plan.forward_kernels, *schema),
                 whole_plan_function("main_backward", "backward", plan.backward_kernels, *schema),
-            ],
+            ]
         )
 
     source, namespace = load_source(options.artifact_key, f"<hector-codegen:{plan.name}>", generate)

@@ -38,18 +38,6 @@ class Ctx:
 
 
 @dataclass(frozen=True)
-class RowsOf:
-    """Graph index ``ctx.<attr>`` gathered through the segment's ``rows``.
-
-    ``shared`` once the rows-index CSE redirected the use to the per-segment
-    ``_rows_<attr>`` local.
-    """
-
-    attr: str
-    shared: bool = False
-
-
-@dataclass(frozen=True)
 class SegVar:
     """The segment index of the enclosing :class:`SegmentLoop`."""
 
@@ -62,7 +50,7 @@ class Local:
     buf: Optional[str] = None
 
 
-Ref = Union[Buf, Ctx, RowsOf, SegVar, Local]
+Ref = Union[Buf, Ctx, SegVar, Local]
 Expr = Tuple[Union[str, Ref], ...]
 
 
@@ -142,7 +130,7 @@ class EnsureGrad:
 
 @dataclass(frozen=True)
 class Scatter:
-    """``np.add.at(target, index, contrib)``; ``fresh`` when the target is known all-zeros."""
+    """Segment-sum ``contrib`` rows into ``target[index]``: ``+=``, or ``=`` when ``fresh`` (target all-zeros)."""
 
     target: Union[Buf, Local]
     index: Expr
@@ -194,7 +182,7 @@ def buffer_of(target: Union[Buf, Local]) -> Optional[str]:
 
 def rewrite(node, fn):
     """Rebuild ``node`` with ``fn`` applied to every typed reference inside it."""
-    if isinstance(node, (Buf, Ctx, RowsOf, SegVar, Local)):
+    if isinstance(node, (Buf, Ctx, SegVar, Local)):
         return fn(node)
     if isinstance(node, tuple):
         return tuple([rewrite(item, fn) for item in node])

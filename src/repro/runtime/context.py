@@ -53,7 +53,18 @@ class GraphContext:
 
     @classmethod
     def from_graph(cls, graph: HeteroGraph) -> "GraphContext":
-        """Run the preprocessing the generated code requires on a graph."""
+        """Run the preprocessing the generated code requires on a graph.
+
+        Raises ``ValueError`` unless edges are stored grouped by relation: kernels
+        address relation ``t`` as the edge range ``etype_ptr[t]:etype_ptr[t + 1]``.
+        """
+        unsorted = np.flatnonzero(np.diff(graph.edge_type) < 0)
+        if len(unsorted):
+            edge = int(unsorted[0]) + 1
+            raise ValueError(
+                f"edges must be stored grouped by relation (edge_type non-decreasing): edge {edge} has "
+                f"type {int(graph.edge_type[edge])} after type {int(graph.edge_type[edge - 1])}"
+            )
         segments = graph.edge_segments
         compaction = graph.compaction
         etype_to_src = np.zeros(graph.num_edge_types, dtype=np.int64)

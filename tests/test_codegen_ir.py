@@ -31,7 +31,6 @@ from repro.ir.codegen.stmt import (
     Ensure,
     EnsureGrad,
     Local,
-    RowsOf,
     Scatter,
     SegmentBlock,
     SegmentLoop,
@@ -54,7 +53,7 @@ def _scatters(stmts):
 
 
 def _grad_scatter(buf="grad_h"):
-    return Scatter(Local("grad_X", buf), (RowsOf("edge_src"),), ("contrib",))
+    return Scatter(Local("grad_X", buf), (Ctx("edge_src"),), ("contrib",))
 
 
 class TestFreshScatters:
@@ -169,7 +168,7 @@ class TestPrinter:
         ]
 
     def test_policies_print_the_same_statements_under_different_names(self):
-        stmts = [Assign("Xg", (Buf("Y"), "[", RowsOf("edge_src"), "]")), Store("t", ("Xg",))]
+        stmts = [Assign("Xg", (Buf("Y"), "[", Ctx("edge_src"), "[rows]]")), Store("t", ("Xg",))]
         assert print_function("k", "d", stmts).splitlines()[2:] == [
             "    Xg = env['Y'][ctx.edge_src[rows]]",
             "    env['t'] = Xg",

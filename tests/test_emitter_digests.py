@@ -39,6 +39,11 @@ CONFIGS = {
 }
 
 
+#: What no executing backend prints: a per-site unbuffered scatter, the (identity)
+#: edge permutation, or a copying gather of a contiguous segment.
+_NEVER_EMITTED = ("np.add.at", "etype_perm", "np.arange(start, end)")
+
+
 def _sparse_graph_40() -> HeteroGraph:
     """40 relations over 3 node types, four of them occupied."""
     rng = np.random.default_rng(7)
@@ -92,9 +97,12 @@ def emitter_cells():
 def test_emitted_sources_match_digests(update_golden, tmp_path, monkeypatch):
     # A private artifact cache: a digest must come from this tree's emitter.
     monkeypatch.setenv(CACHE_ENV, str(tmp_path / "codegen"))
-    digests = {
-        key: hashlib.sha256(source.encode()).hexdigest() for key, source in emitter_cells()
-    }
+    digests = {}
+    for key, source in emitter_cells():
+        digests[key] = hashlib.sha256(source.encode()).hexdigest()
+        # Segments are contiguous row ranges and every scatter is the shared helper.
+        for text in _NEVER_EMITTED:
+            assert text not in source, f"{key}: emitted source contains {text!r}"
     assert len(digests) == len(MODELS) * 7 * len(MODES) * len(CONFIGS)
     if update_golden:
         DIGEST_PATH.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")

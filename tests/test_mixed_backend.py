@@ -301,8 +301,10 @@ class TestOccupancySpecialisation:
 # ----------------------------------------------------------------------
 class TestRuntimeLoopBackward:
     def test_input_gradients_bit_identical_beyond_unroll_limit(self, isolated_cache):
-        """>32 edge types force the runtime segment loop; scatters inside it
-        must accumulate (np.add.at), not overwrite (_scatter_fresh)."""
+        """>32 edge types force the runtime segment loop: whatever a kernel
+        scatters — per segment, or once after the loop — must accumulate over
+        all segments (``_scatter_add``), never assign one segment's sum over
+        another's (``fresh=True`` under a runtime loop, PR 8's bug)."""
         graph = random_hetero_graph(40, 300, 2, 40, seed=3)
         rng = np.random.default_rng(1)
         features = rng.standard_normal((graph.num_nodes, 4))

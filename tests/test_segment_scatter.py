@@ -1,0 +1,222 @@
+"""The segment-sum scatter helper and the templates built on type-sorted edges.
+
+Three layers: the helper against a plain ``np.add.at`` reference; the shape of
+the dgrad template (one scatter per kernel, after its segment loop, under
+every policy); and whole models on awkward schemas — relation counts on both
+sides of the unroll limit, an empty relation, a single-edge relation,
+destinations nobody points at — where interp, codegen and mixed must agree
+bit for bit and match the eager reference to rounding.
+"""
+
+import numpy as np
+import pytest
+
+from repro.frontend import compile_model
+from repro.frontend.compiler import compile_program
+from repro.frontend.config import CompilerOptions
+from repro.graph.hetero_graph import HeteroGraph
+from repro.ir.codegen.builder import build_kernel
+from repro.ir.codegen.helpers import _scatter_add
+from repro.ir.codegen.passes import MAX_UNROLL_SEGMENTS, merge_adjacent, unroll_segments
+from repro.ir.codegen.stmt import Scatter, SegmentBlock, SegmentLoop
+from repro.models import MODEL_NAMES, REFERENCE_CLASSES, build_program
+from repro.runtime.context import GraphContext
+from repro.tensor import Tensor
+
+
+# ----------------------------------------------------------------------
+# the helper
+# ----------------------------------------------------------------------
+def _reference(target, idx, contrib, fresh):
+    """What the helper must compute: float64 ``np.add.at``, rounded once to the target dtype."""
+    wide = np.zeros(target.shape) if fresh else target.astype(np.float64)
+    np.add.at(wide, idx, contrib.astype(np.float64))
+    return wide.astype(target.dtype)
+
+
+def _check(target, idx, contrib, fresh):
+    expected = _reference(target, idx, contrib, fresh)
+    _scatter_add(target, idx, contrib, fresh=fresh)
+    assert target.dtype == expected.dtype
+    tolerance = 1e-5 if target.dtype == np.float32 else 1e-12
+    np.testing.assert_allclose(target, expected, rtol=tolerance, atol=tolerance)
+
+
+_INDEX_CASES = {
+    "empty": lambda rng: np.zeros(0, dtype=np.int64),
+    "one-row": lambda rng: np.array([4]),
+    "all-to-one-destination": lambda rng: np.full(200, 7),
+    "untouched-destinations": lambda rng: rng.integers(0, 20, 150) * 2,  # odd rows never hit
+    "window-above-zero": lambda rng: rng.integers(25, 33, 150),
+    "every-row": lambda rng: rng.permutation(np.repeat(np.arange(40), 3)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("width", [None, 1, 4, 5, 64], ids=lambda w: "1d" if w is None else f"w{w}")
+@pytest.mark.parametrize("case", list(_INDEX_CASES))
+@pytest.mark.parametrize("fresh", [False, True], ids=["accumulate", "fresh"])
+def test_helper_matches_add_at(fresh, case, width, dtype):
+    rng = np.random.default_rng(3)
+    idx = _INDEX_CASES[case](rng)
+    tail = () if width is None else (width,)
+    contrib = rng.standard_normal((len(idx), *tail)).astype(dtype)
+    # A fresh target's prior contents are dead: fill it with something loud.
+    target = np.full((40, *tail), np.nan, dtype) if fresh else rng.standard_normal((40, *tail)).astype(dtype)
+    _check(target, idx, contrib, fresh)
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["accumulate", "fresh"])
+def test_helper_takes_non_contiguous_contributions(fresh):
+    rng = np.random.default_rng(4)
+    idx = rng.integers(0, 30, 100)
+    wide = rng.standard_normal((100, 12))
+    for contrib in (wide[:, ::3], wide.T[:6].T, wide[::-1, 2:7]):
+        assert not contrib.flags.c_contiguous
+        _check(rng.standard_normal((30, contrib.shape[1])), idx, contrib, fresh)
+    _check(rng.standard_normal(30), idx, wide[:, 5], fresh)
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["accumulate", "fresh"])
+def test_helper_falls_back_for_broadcasting_and_extra_axes(fresh):
+    rng = np.random.default_rng(5)
+    idx = rng.integers(0, 6, 50)
+    # More than one feature axis (a weight-product adjoint scattering matrices).
+    _check(rng.standard_normal((6, 3, 4)), idx, rng.standard_normal((50, 3, 4)), fresh)
+    # A per-row scalar broadcast across the target's feature axis.
+    _check(rng.standard_normal((6, 4)), idx, rng.standard_normal((50, 1)), fresh)
+    _check(rng.standard_normal((6, 4)), idx, np.float64(2.5), fresh)
+
+
+def test_helper_is_deterministic_across_fresh_and_zero_filled_accumulation():
+    """``fresh`` onto garbage ≡ accumulating onto zeros, bit for bit (interp vs codegen sites)."""
+    rng = np.random.default_rng(6)
+    idx = rng.integers(3, 90, 4000)
+    for dtype in (np.float64, np.float32):
+        contrib = (rng.standard_normal((4000, 8)) * 1e-3).astype(dtype)
+        contrib[::7] = -0.0
+        fresh = np.full((100, 8), np.nan, dtype)
+        zeros = np.zeros((100, 8), dtype)
+        _scatter_add(fresh, idx, contrib, fresh=True)
+        _scatter_add(zeros, idx, contrib)
+        assert fresh.tobytes() == zeros.tobytes()
+
+
+# ----------------------------------------------------------------------
+# one scatter per dgrad kernel
+# ----------------------------------------------------------------------
+def _scatter_sites(stmts, under_loop=False):
+    for stmt in stmts:
+        if isinstance(stmt, Scatter):
+            yield under_loop
+        elif isinstance(stmt, (SegmentLoop, SegmentBlock)):
+            yield from _scatter_sites(stmt.body, True)
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+@pytest.mark.parametrize("compact", [False, True], ids=["U", "C+R"])
+def test_dgrad_scatters_once_after_its_segment_loop(model, compact):
+    options = CompilerOptions(compact_materialization=compact, linear_operator_reordering=compact)
+    plan = compile_program(build_program(model, in_dim=4, out_dim=4), options).plan
+    bodies = [build_kernel(kernel) for kernel in plan.backward_kernels]
+    pairs = [body for body in merge_adjacent(bodies) if len(body.kernels) == 2]
+    assert pairs, "every model has at least one typed GEMM adjoint pair"
+    gathered = 0
+    for merged in pairs:
+        dgrad = next(body for body in bodies if body.kernels[0] is merged.kernels[0])
+        # per-kernel policy (no passes), merged runtime loop, merged unrolled blocks
+        unrolled = unroll_segments(merged.stmts, {"num_etypes": (3, None), "num_ntypes": (2, None)})
+        assert not any(isinstance(stmt, SegmentLoop) for stmt in unrolled)
+        sites = [list(_scatter_sites(stmts)) for stmts in (dgrad.stmts, merged.stmts, unrolled)]
+        assert sites[0] == sites[1] == sites[2] and sites[0] in ([], [False])
+        if sites[0]:
+            gathered += 1
+            assert isinstance(merged.stmts[-1], Scatter) and isinstance(merged.stmts[-2], SegmentLoop)
+    assert gathered, "every model has a dgrad through a gather list"
+
+
+# ----------------------------------------------------------------------
+# whole models on awkward schemas, through every backend
+# ----------------------------------------------------------------------
+def _awkward_graph(num_relations: int) -> HeteroGraph:
+    """``num_relations`` relations over three node types.
+
+    The second relation (the only one, when there is just one, stays
+    populated) is empty, the last holds a single edge, and destinations are
+    drawn from the lower half of each type, so the upper half has in-degree 0.
+    """
+    rng = np.random.default_rng(num_relations)
+    nodes = {"a": 14, "b": 10, "c": 12}
+    names = list(nodes)
+    edges = {}
+    for r in range(num_relations):
+        src_type, dst_type = names[r % 3], names[(r + 1 + r // 3) % 3]
+        count = int(rng.integers(5, 28))
+        if num_relations > 1 and r == 1:
+            count = 0
+        elif num_relations > 1 and r == num_relations - 1:
+            count = 1
+        edges[(src_type, f"rel{r}", dst_type)] = (
+            rng.integers(0, nodes[src_type], count),
+            rng.integers(0, nodes[dst_type] // 2, count),
+        )
+    return HeteroGraph(nodes, edges, name=f"awkward-{num_relations}")
+
+
+_BACKENDS = ("python-interp", "python-codegen", "mixed")
+assert MAX_UNROLL_SEGMENTS == 32, "the relation counts below must straddle the unroll limit"
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+@pytest.mark.parametrize("num_relations", [1, 31, 32, 33, 48])
+def test_backends_agree_bitwise_and_match_reference(model, num_relations, tmp_path, monkeypatch, dim=6):
+    monkeypatch.setenv("REPRO_CODEGEN_CACHE", str(tmp_path / "codegen"))
+    graph = _awkward_graph(num_relations)
+    assert (graph.in_degrees() == 0).any()
+    assert num_relations == 1 or {0, 1} <= set(graph.relation_edge_counts().tolist())
+    rng = np.random.default_rng(11)
+    features = rng.standard_normal((graph.num_nodes, dim))
+
+    runs = {}
+    for backend in _BACKENDS:
+        options = CompilerOptions(backend=backend, emit_backward=True, enable_compilation_cache=False)
+        module = compile_model(model, graph, in_dim=dim, out_dim=dim, options=options, seed=5)
+        out = module.forward(features)
+        key = next(iter(out))
+        upstream = np.random.default_rng(12).standard_normal(out[key].shape)
+        grads = module.backward({key: upstream})
+        runs[backend] = (out[key].copy(), grads, dict(module.default_binding.input_gradients()))
+    out, grads, input_grads = runs["python-interp"]
+    for backend in _BACKENDS[1:]:
+        other_out, other_grads, other_inputs = runs[backend]
+        assert other_out.tobytes() == out.tobytes(), f"{backend}: forward"
+        assert set(other_grads) == set(grads) and set(other_inputs) == set(input_grads)
+        for name in grads:
+            assert other_grads[name].tobytes() == grads[name].tobytes(), f"{backend}: gradient of {name}"
+        for name in input_grads:
+            assert other_inputs[name].tobytes() == input_grads[name].tobytes(), f"{backend}: input gradient {name}"
+
+    reference = REFERENCE_CLASSES[model](graph, dim, dim, seed=5)
+    reference.load_parameters({name: p.data for name, p in module.parameters_by_name.items()})
+    x = Tensor(features, requires_grad=True)
+    ref_out = reference.forward(x)[key]
+    ref_out.backward(upstream)
+    np.testing.assert_allclose(out, ref_out.data, atol=1e-8)
+    for name, parameter in reference.named_parameter_dict().items():
+        np.testing.assert_allclose(grads[name], parameter.grad, atol=1e-7, err_msg=name)
+    (input_grad,) = input_grads.values()
+    np.testing.assert_allclose(input_grad, x.grad, atol=1e-7)
+
+
+# ----------------------------------------------------------------------
+# the layout assumption is an explicit failure
+# ----------------------------------------------------------------------
+def test_context_rejects_edges_not_grouped_by_relation(tiny_graph):
+    import copy
+
+    shuffled = copy.copy(tiny_graph)
+    shuffled.edge_type = tiny_graph.edge_type.copy()
+    shuffled.edge_type[[2, 5]] = shuffled.edge_type[[5, 2]]  # a 'cites' edge among the 'writes' edges
+    with pytest.raises(ValueError, match=r"grouped by relation.*edge 3 has type 0 after type 1"):
+        GraphContext.from_graph(shuffled)
+    GraphContext.from_graph(tiny_graph)  # the constructor's own order passes
