@@ -2,109 +2,7 @@
 """Generated by Hector's Python backend — do not edit by hand."""
 import numpy as np
 
-
-def _align(a, b):
-    """Broadcast a per-row scalar against per-row vectors."""
-    if a.ndim == 1 and b.ndim == 2:
-        a = a[:, None]
-    if b.ndim == 1 and a.ndim == 2:
-        b = b[:, None]
-    return a, b
-
-
-def _env_dtype(env):
-    """The floating dtype of the environment's buffers.
-
-    Inputs and parameters are installed before any kernel runs, so the first
-    floating array encountered fixes the working precision; fresh output and
-    gradient allocations follow it instead of silently upcasting a float32
-    environment to float64.
-    """
-    for value in env.values():
-        if isinstance(value, np.ndarray) and np.issubdtype(value.dtype, np.floating):
-            return value.dtype
-    return np.dtype(np.float64)
-
-
-def _ensure(env, name, shape):
-    """Fetch (or allocate) an output buffer, zero-filled.
-
-    A correctly shaped buffer already present in ``env`` — e.g. bound from a
-    preallocated arena, or left over from a previous invocation — is reused
-    in place and reset to zero, so reuse is indistinguishable from a fresh
-    ``np.zeros`` allocation.  Fresh buffers take the environment dtype
-    (see ``_env_dtype``), not a hardcoded float64.
-    """
-    if np.isscalar(shape):
-        shape = (shape,)
-    if name not in env or env[name].shape != tuple(shape):
-        env[name] = np.zeros(shape, dtype=_env_dtype(env))
-    else:
-        env[name][...] = 0.0
-    return env[name]
-
-
-def _ensure_grad(env, name):
-    """Allocate (or fetch) the gradient buffer of a forward value.
-
-    ``zeros_like`` inherits the forward buffer's dtype, so gradients never
-    upcast a float32 environment.
-    """
-    grad_name = "grad_" + name
-    if grad_name not in env:
-        env[grad_name] = np.zeros_like(env[name])
-    return env[grad_name]
-
-
-def _ensure_out(env, name, shape):
-    """Fetch (or allocate, uninitialised) a fully-overwritten output buffer.
-
-    Mirrors ``_ensure``'s reuse decision exactly, but skips the zero fill:
-    callers guarantee every row is written before being read, so the initial
-    contents are unobservable and the fill is pure overhead.
-    """
-    if np.isscalar(shape):
-        shape = (shape,)
-    if name not in env or env[name].shape != tuple(shape):
-        env[name] = np.empty(shape, dtype=_env_dtype(env))
-    return env[name]
-
-
-def _scatter_fresh(target, idx, contrib):
-    """Scatter-add into an all-zeros target via ``np.bincount``.
-
-    ``np.bincount`` accumulates its weights sequentially — the exact
-    per-element addition order ``np.add.at`` applies — and every bin starts
-    from the same +0.0 the zero-filled target holds, so the stores below are
-    bit-identical to ``np.add.at(target, idx, contrib)`` at a fraction of the
-    cost.  Callers guarantee the target is fresh: either all-zeros or fully
-    overwritten below (the generator only emits this at a gradient's first
-    accumulation site, or onto a ``scatter_add`` output buffer).  Non-float64
-    and broadcasting scatters fall back to the ufunc path, zero-filling first
-    since the fast paths overwrite every element.
-    """
-    if (
-        target.dtype != np.float64
-        or contrib.dtype != np.float64
-        or contrib.ndim != target.ndim
-        or len(contrib) != len(idx)
-        or target.ndim > 2
-    ):
-        target[...] = 0.0
-        np.add.at(target, idx, contrib)
-        return
-    n = target.shape[0]
-    if target.ndim == 1:
-        target[...] = np.bincount(idx, weights=contrib, minlength=n)
-    elif target.shape[1] <= 4:
-        for j in range(target.shape[1]):
-            target[:, j] = np.bincount(idx, weights=contrib[:, j], minlength=n)
-    else:
-        d = target.shape[1]
-        flat_idx = (np.asarray(idx)[:, None] * d + np.arange(d)).ravel()
-        target[...] = np.bincount(
-            flat_idx, weights=contrib.ravel(), minlength=n * d
-        ).reshape(n, d)
+from repro.ir.codegen.helpers import _align, _ensure, _ensure_grad, _env_dtype, _scatter_add
 
 
 def main_forward(env, ctx):
@@ -112,7 +10,6 @@ def main_forward(env, ctx):
     _s_etype_ptr = ctx.etype_ptr.tolist()
     _c_num_etypes = ctx.num_etypes
     _c_num_edges = ctx.num_edges
-    _c_etype_perm = ctx.etype_perm
     _c_edge_src = ctx.edge_src
     _c_edge_dst = ctx.edge_dst
     _c_edge_type = ctx.edge_type
@@ -131,7 +28,7 @@ def main_forward(env, ctx):
         start, end = seg_ptr[t], seg_ptr[t + 1]
         if end <= start:
             continue
-        rows = _c_etype_perm[start:end]
+        rows = slice(start, end)
         Xg = _b_h[_c_edge_src[rows]]
         W_t = _b_W[t]
         Y[rows] = Xg @ W_t
@@ -150,7 +47,7 @@ def main_forward(env, ctx):
         start, end = seg_ptr[t], seg_ptr[t + 1]
         if end <= start:
             continue
-        rows = _c_etype_perm[start:end]
+        rows = slice(start, end)
         Xg = _b_h[_c_edge_dst[rows]]
         W_t = _b_W[t]
         Y[rows] = Xg @ W_t
@@ -172,7 +69,7 @@ def main_forward(env, ctx):
     if Y is None or Y.shape != (_c_num_nodes,):
         Y = _b_att_sum = env['att_sum'] = np.empty((_c_num_nodes,), dtype=_env_dtype(env))
     _contrib = _b_att_exp
-    _scatter_fresh(Y, dst, _contrib)
+    _scatter_add(Y, dst, _contrib, fresh=True)
     # ---- traversal_3: traversal_3: traversal over edge {rows/block: 128, threads/row: 32, partial_agg: True} atomics=True | att_sum_edges=copy(att_sum); att=binary(att_exp, att_sum_edges); out=scatter_add(hs, att) ----
     n_rows = _c_num_edges
     src, dst, typ = _c_edge_src, _c_edge_dst, _c_edge_type
@@ -188,7 +85,7 @@ def main_forward(env, ctx):
     _contrib = _b_hs
     _c, _s = _align(_contrib, _b_att)
     _contrib = _c * _s
-    _scatter_fresh(Y, dst, _contrib)
+    _scatter_add(Y, dst, _contrib, fresh=True)
     return env
 
 def main_backward(env, ctx):
@@ -199,7 +96,6 @@ def main_backward(env, ctx):
     _c_edge_dst = ctx.edge_dst
     _c_edge_type = ctx.edge_type
     _c_num_etypes = ctx.num_etypes
-    _c_etype_perm = ctx.etype_perm
     _b_grad_out = env.get('grad_out')
     if _b_grad_out is None:
         _b_grad_out = env['grad_out'] = np.zeros_like(env['out'])
@@ -268,7 +164,7 @@ def main_backward(env, ctx):
     _b_grad_att_sum = env.get('grad_att_sum')
     if _b_grad_att_sum is None:
         _b_grad_att_sum = env['grad_att_sum'] = np.empty_like(env['att_sum'])
-    _scatter_fresh(_b_grad_att_sum, dst, _g)
+    _scatter_add(_b_grad_att_sum, dst, _g, fresh=True)
     # ---- traversal_2_bwd: traversal_2_bwd: traversal over edge {rows/block: 128, threads/row: 32, partial_agg: True} atomics=True | attt=typed_vec_dot(ht, w_t); att_raw=binary(atts, attt); att_l=unary(att_raw); att_exp=unary(att_l); att_sum=scatter_add(att_exp) ----
     n_rows = _c_num_edges
     src, dst, typ = _c_edge_src, _c_edge_dst, _c_edge_type
@@ -344,8 +240,14 @@ def main_backward(env, ctx):
         _b_grad_ht += _g[:, None] * _b_w_t[typ]
     _b_grad_w_t = env.get('grad_w_t')
     if _b_grad_w_t is None:
-        _b_grad_w_t = env['grad_w_t'] = np.empty_like(env['w_t'])
-    _scatter_fresh(_b_grad_w_t, typ, _g[:, None] * _b_ht)
+        _b_grad_w_t = env['grad_w_t'] = np.zeros_like(env['w_t'])
+    seg_ptr = _s_etype_ptr
+    num_segments = _c_num_etypes
+    for t in range(num_segments):
+        start, end = seg_ptr[t], seg_ptr[t + 1]
+        if end <= start:
+            continue
+        _b_grad_w_t[t] += _g[start:end] @ _b_ht[start:end]
     # ---- gemm_2_dgrad + gemm_2_wgrad: merged adjoint segment loop ----
     seg_ptr = _s_etype_ptr
     num_segments = _c_num_etypes
@@ -353,6 +255,7 @@ def main_backward(env, ctx):
     if _b_grad_h is None:
         _b_grad_h = env['grad_h'] = np.zeros_like(env['h'])
     grad_X = _b_grad_h
+    contrib = np.empty((_c_num_edges, 64), dtype=_b_grad_ht.dtype)
     _b_grad_W = env.get('grad_W')
     if _b_grad_W is None:
         _b_grad_W = env['grad_W'] = np.zeros_like(env['W'])
@@ -361,14 +264,13 @@ def main_backward(env, ctx):
         start, end = seg_ptr[t], seg_ptr[t + 1]
         if end <= start:
             continue
-        rows = _c_etype_perm[start:end]
-        _rows_edge_dst = _c_edge_dst[rows]
+        rows = slice(start, end)
         gY = _b_grad_ht[rows]
         W_t = _b_W[t]
-        contrib = gY @ W_t.T
-        np.add.at(grad_X, _rows_edge_dst, contrib)
-        Xg = _b_h[_rows_edge_dst]
+        contrib[rows] = gY @ W_t.T
+        Xg = _b_h[_c_edge_dst[rows]]
         grad_W[t] += Xg.T @ gY
+    _scatter_add(grad_X, _c_edge_dst, contrib, fresh=True)
     # ---- traversal_1_bwd: traversal_1_bwd: traversal over edge {rows/block: 128, threads/row: 32, partial_agg: True} atomics=True | atts=typed_vec_dot(hs, w_s) ----
     n_rows = _c_num_edges
     src, dst, typ = _c_edge_src, _c_edge_dst, _c_edge_type
@@ -385,8 +287,14 @@ def main_backward(env, ctx):
         _b_grad_hs += _g[:, None] * _b_w_s[typ]
     _b_grad_w_s = env.get('grad_w_s')
     if _b_grad_w_s is None:
-        _b_grad_w_s = env['grad_w_s'] = np.empty_like(env['w_s'])
-    _scatter_fresh(_b_grad_w_s, typ, _g[:, None] * _b_hs)
+        _b_grad_w_s = env['grad_w_s'] = np.zeros_like(env['w_s'])
+    seg_ptr = _s_etype_ptr
+    num_segments = _c_num_etypes
+    for t in range(num_segments):
+        start, end = seg_ptr[t], seg_ptr[t + 1]
+        if end <= start:
+            continue
+        _b_grad_w_s[t] += _g[start:end] @ _b_hs[start:end]
     # ---- gemm_1_dgrad + gemm_1_wgrad: merged adjoint segment loop ----
     seg_ptr = _s_etype_ptr
     num_segments = _c_num_etypes
@@ -394,6 +302,7 @@ def main_backward(env, ctx):
     if _b_grad_h is None:
         _b_grad_h = env['grad_h'] = np.zeros_like(env['h'])
     grad_X = _b_grad_h
+    contrib = np.empty((_c_num_edges, 64), dtype=_b_grad_hs.dtype)
     _b_grad_W = env.get('grad_W')
     if _b_grad_W is None:
         _b_grad_W = env['grad_W'] = np.zeros_like(env['W'])
@@ -402,12 +311,11 @@ def main_backward(env, ctx):
         start, end = seg_ptr[t], seg_ptr[t + 1]
         if end <= start:
             continue
-        rows = _c_etype_perm[start:end]
-        _rows_edge_src = _c_edge_src[rows]
+        rows = slice(start, end)
         gY = _b_grad_hs[rows]
         W_t = _b_W[t]
-        contrib = gY @ W_t.T
-        np.add.at(grad_X, _rows_edge_src, contrib)
-        Xg = _b_h[_rows_edge_src]
+        contrib[rows] = gY @ W_t.T
+        Xg = _b_h[_c_edge_src[rows]]
         grad_W[t] += Xg.T @ gY
+    _scatter_add(grad_X, _c_edge_src, contrib)
     return env
