@@ -111,8 +111,8 @@ def perhop_work_study(
     """Per-layer aggregation work: per-hop blocks vs one merged block.
 
     Samples a stream of seed sets; for each, builds both the per-hop block
-    sequence and the merged block *within one sampler epoch* (shared draw
-    memo, uniform fanout), so the outermost per-hop block contains exactly
+    sequence and the merged block *within one sampler epoch* (same per-edge
+    keys, uniform fanout), so the outermost per-hop block contains exactly
     the merged edge set and the comparison is edge-for-edge fair.  Layer
     ``l`` of a per-hop execution aggregates over ``blocks[l-1].num_edges``
     edges while merged execution pays the whole merged block at every layer

@@ -105,6 +105,62 @@ class HeteroGraph:
             self.edge_dst = np.zeros(0, dtype=np.int64)
             self.edge_type = np.zeros(0, dtype=np.int64)
 
+    @classmethod
+    def from_flat(
+        cls,
+        parent: "HeteroGraph",
+        node_type_offsets: np.ndarray,
+        edge_src: np.ndarray,
+        edge_dst: np.ndarray,
+        etype_ptr: np.ndarray,
+        name: str = "hetero_graph",
+    ) -> "HeteroGraph":
+        """A graph over ``parent``'s type vocabulary, from the flattened view itself.
+
+        ``edge_src`` / ``edge_dst`` hold global node ids with relation ``r``
+        stored as the edge range ``etype_ptr[r]:etype_ptr[r + 1]`` (the layout
+        the constructor produces), and ``node_type_offsets`` delimits the node
+        types.  The vocabulary objects are shared with ``parent``, so a sampled
+        block costs no per-relation Python work; the per-relation view
+        (:attr:`edges_per_relation`) is derived on first use.
+        """
+        num_etypes = len(parent.canonical_etypes)
+        if len(node_type_offsets) != len(parent.node_type_names) + 1:
+            raise ValueError(f"expected {len(parent.node_type_names) + 1} node type offsets")
+        if (
+            len(etype_ptr) != num_etypes + 1
+            or etype_ptr[0] != 0
+            or not len(edge_src) == len(edge_dst) == etype_ptr[-1]
+        ):
+            raise ValueError(f"etype_ptr does not delimit {num_etypes} relations over the edge arrays")
+        counts = np.diff(etype_ptr)
+        endpoint_types = parent.etype_endpoint_types
+        endpoints = np.stack((edge_src, edge_dst))
+        first = np.repeat(node_type_offsets[endpoint_types], counts, axis=1)
+        end = np.repeat(node_type_offsets[endpoint_types + 1], counts, axis=1)
+        outside = (endpoints < first) | (endpoints >= end)
+        if outside.any():
+            edge = int(np.flatnonzero(outside.any(axis=0))[0])
+            etype = parent.canonical_etypes[int(np.searchsorted(etype_ptr, edge, side="right")) - 1]
+            raise ValueError(f"edge type {etype} has out-of-range node indices")
+
+        graph = cls.__new__(cls)
+        graph.name = name
+        graph.node_type_names = parent.node_type_names
+        graph._ntype_index = parent._ntype_index
+        graph.canonical_etypes = parent.canonical_etypes
+        graph._etype_index = parent._etype_index
+        graph.node_type_offsets = node_type_offsets
+        graph.num_nodes_per_type = dict(zip(parent.node_type_names, np.diff(node_type_offsets).tolist()))
+        graph.edge_src = edge_src
+        graph.edge_dst = edge_dst
+        graph.edge_type = np.repeat(np.arange(num_etypes, dtype=np.int64), counts)
+        graph.etype_endpoint_types = endpoint_types
+        graph.edge_segments = SegmentPointers(
+            offsets=etype_ptr, permutation=np.arange(len(edge_src), dtype=np.int64)
+        )
+        return graph
+
     # ------------------------------------------------------------------
     # counts and lookups
     # ------------------------------------------------------------------
@@ -143,6 +199,31 @@ class HeteroGraph:
 
     def num_edges_of_relation(self, etype: CanonicalEtype) -> int:
         return len(self.edges_per_relation[etype][0])
+
+    @cached_property
+    def etype_endpoint_types(self) -> np.ndarray:
+        """``(2, num_edge_types)``: source / destination node type id of every relation (read-only)."""
+        index = self._ntype_index
+        types = np.array(
+            [[index[etype[0]] for etype in self.canonical_etypes],
+             [index[etype[2]] for etype in self.canonical_etypes]],
+            dtype=np.int64,
+        ).reshape(2, -1)
+        types.flags.writeable = False
+        return types
+
+    @cached_property
+    def edges_per_relation(self) -> Dict[CanonicalEtype, Tuple[np.ndarray, np.ndarray]]:
+        """The per-relation view: ``(src_local_ids, dst_local_ids)`` by canonical edge type."""
+        bounds = self.edge_segments.offsets.tolist()
+        src_first, dst_first = self.node_type_offsets[self.etype_endpoint_types].tolist()
+        return {
+            etype: (
+                self.edge_src[bounds[r]:bounds[r + 1]] - src_first[r],
+                self.edge_dst[bounds[r]:bounds[r + 1]] - dst_first[r],
+            )
+            for r, etype in enumerate(self.canonical_etypes)
+        }
 
     @cached_property
     def node_type_ids(self) -> np.ndarray:

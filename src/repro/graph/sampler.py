@@ -15,25 +15,36 @@ A :class:`MinibatchBlock` additionally carries the index maps serving needs:
 ``node_map`` gathers parent-graph features into block order, and
 ``seed_positions`` scatters block outputs back to the request's seeds.
 
-Sampling semantics (single merged block, DGL-style incoming-neighbor
-sampling):
+Everything here works in the parent's flat, relation-segmented edge space: a
+drawn neighborhood (*positions*) is one sorted array of **global edge ids**
+(indices into ``graph.edge_src`` / ``edge_dst``; relation ``r`` is the id range
+``etype_ptr[r]:etype_ptr[r + 1]``), a hop expands its whole frontier with one
+vectorised pass over an in-edge CSR, and a block is compacted from the id
+array with a handful of ``searchsorted`` calls — no per-relation or
+per-destination Python loop anywhere.
 
-* hop 1 draws at most ``fanouts[0]`` incoming edges per (seed, relation);
+Sampling semantics (DGL-style incoming-neighbor sampling):
+
+* hop 1 keeps at most ``fanouts[0]`` incoming edges per (seed, relation);
   hop ``k`` repeats from the nodes hop ``k-1`` reached;
-* a node's incoming neighborhood is drawn once per *epoch* (and once per
-  merged ``sample`` call, whichever hop reaches it first) — revisits reuse
-  the memoised draw, so per-relation in-degrees in a block never exceed the
-  cap of the hop that drew the node, and an epoch's neighborhoods are
-  internally consistent across minibatches;
-* :meth:`NeighborSampler.resample` starts a new epoch: the draw memo is
-  cleared and the RNG is reseeded from ``(seed, epoch)`` — or
-  ``(seed, epoch, shard)`` for a data-parallel worker's sampler — so epochs
-  (and shards) draw *different* neighborhoods while any epoch is exactly
-  reproducible from the base seed (the per-epoch stream does not depend on
-  how many draws earlier epochs made); ``shard=0`` seeds the very stream
-  unsharded training uses (numpy's ``SeedSequence`` absorbs the trailing
-  zero word), so a 1-shard world reproduces plain training by construction,
-  while shards >= 1 never alias any unsharded epoch;
+* which edges a (node, relation) row keeps is decided by a **stateless
+  per-edge key**, ``splitmix64(edge_id + salt)`` with the salt derived from
+  ``(seed, epoch)`` — or ``(seed, epoch, shard)`` for a data-parallel worker's
+  sampler: a row over the cap keeps its ``fanout`` smallest keys, a uniform
+  sample without replacement.  A draw is therefore a pure function of
+  (seed, epoch, shard, edge): the same node gets the same neighborhood in
+  every minibatch of an epoch whatever was sampled before it, a fanout-``k``
+  draw is a subset of the fanout-``2k`` draw, and nothing is memoised;
+* a merged ``sample`` call expands a node at the hop that first reaches it
+  (revisits are skipped), so per-relation in-degrees in a merged block never
+  exceed that hop's cap; per-hop blocks draw their whole destination frontier
+  under their own hop's cap;
+* :meth:`NeighborSampler.resample` starts a new epoch by changing the salt, so
+  epochs (and shards) draw *different* neighborhoods while any epoch is
+  exactly reproducible from the base seed; ``shard=0`` yields the very salt
+  unsharded training uses (numpy's ``SeedSequence`` absorbs the trailing zero
+  word), so a 1-shard world reproduces plain training by construction, while
+  shards >= 1 never alias any unsharded epoch;
 * ``fanout=None`` keeps the full neighborhood, in which case every seed's
   one-hop aggregation over the block is *exact*: it matches the full-graph
   computation restricted to the seeds (the property the sampler tests pin).
@@ -48,15 +59,46 @@ boundary, so deep layers stop paying full-frontier aggregation cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.graph.hetero_graph import CanonicalEtype, HeteroGraph
+from repro.graph.hetero_graph import HeteroGraph
 from repro.graph.schema import GraphSchema
 
 #: Per-hop fanout: max sampled incoming edges per (node, relation); None = all.
 Fanout = Optional[int]
+#: A drawn neighborhood: sorted global edge ids (merged), or one such array per hop.
+Positions = Union[np.ndarray, List[np.ndarray]]
+
+
+def _splitmix64(values: np.ndarray) -> np.ndarray:
+    """The splitmix64 output function over a ``uint64`` array (arithmetic wraps)."""
+    z = values + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an integer array by sorting.
+
+    numpy >= 2.3 routes ``np.unique`` through a hash table that is several
+    times slower than one sort at the few-thousand-element sizes sampling
+    works at.
+    """
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _split(keys: np.ndarray, owners: int, stride: int) -> List[np.ndarray]:
+    """Per-owner ids of sorted ``owner * stride + id`` keys (copies: callers
+    cache them one by one, and a view would pin the whole batch's array)."""
+    bounds = np.searchsorted(keys, np.arange(owners + 1) * stride).tolist()
+    ids = keys % stride
+    return [ids[start:end].copy() for start, end in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -169,21 +211,21 @@ class NeighborSampler:
         graph: the parent heterogeneous graph.
         fanouts: one entry per hop; each is the max number of incoming edges
             kept per (node, relation), or ``None`` for the full neighborhood.
-        seed: base RNG seed; a sampler is deterministic given
-            (seed, epoch, shard, call order).
-        shard: optional data-parallel shard index.  A sharded sampler seeds
+        seed: base seed; a draw is a pure function of
+            (seed, epoch, shard, edge) — never of call order.
+        shard: optional data-parallel shard index.  A sharded sampler salts
             every epoch from ``(seed, epoch, shard)`` instead of
-            ``(seed, epoch)``, so workers sharing a base seed draw disjoint
-            neighborhood streams while any ``(epoch, shard)`` pair stays
-            exactly replayable (see :meth:`resample`).
+            ``(seed, epoch)``, so workers sharing a base seed draw distinct
+            neighborhoods while any ``(epoch, shard)`` pair stays exactly
+            replayable (see :meth:`resample`).
 
-    Neighborhood draws are memoised per ``(relation, destination)`` for the
-    duration of one *epoch*: every block sampled between two
-    :meth:`resample` calls sees the same drawn neighborhood for the same
-    node, so fanout caps and in-epoch determinism hold across minibatches.
-    Without an explicit epoch boundary that memo would leak across training
-    epochs — epoch 2 would train on exactly epoch 1's neighborhoods —
-    so :meth:`resample` clears it and reseeds the RNG from ``(seed, epoch)``.
+    The sampler holds no draw state: every block sampled between two
+    :meth:`resample` calls sees the same neighborhood for the same node
+    because the per-edge keys are the same, so fanout caps and in-epoch
+    determinism hold across minibatches by construction.
+    ``draw_misses`` counts the (relation, destination) rows drawn,
+    ``draw_hits`` the frontier nodes a merged draw skipped because an earlier
+    hop had already expanded them.
     """
 
     def __init__(
@@ -204,74 +246,65 @@ class NeighborSampler:
         self.base_seed = int(seed)
         self.epoch = 0
         self.shard = None if shard is None else int(shard)
-        self._rng = np.random.default_rng(self._seed_words(0, self.shard))
-        #: Epoch-scoped draw memo.  The key includes the requesting hop's
-        #: fanout so a node revisited at a hop with a *different* cap gets a
-        #: fresh draw under that cap instead of inheriting a larger one —
-        #: per-hop in-degree caps must hold hop by hop.
-        self._drawn: Dict[Tuple[CanonicalEtype, int, Fanout], np.ndarray] = {}
-        #: Draw-memo telemetry (an epoch's revisits are hits).
+        self._salt = self._stream_salt(0, self.shard)
         self.draw_hits = 0
         self.draw_misses = 0
-        # Per-relation incoming-edge CSR: edge positions sorted by destination,
-        # so one slice yields a destination's incoming edges of that relation.
-        self._in_edges: Dict[CanonicalEtype, Tuple[np.ndarray, np.ndarray]] = {}
-        for etype, (_, dst_local) in graph.edges_per_relation.items():
-            n_dst = graph.num_nodes_per_type[etype[2]]
-            order = np.argsort(dst_local, kind="stable")
-            offsets = np.zeros(n_dst + 1, dtype=np.int64)
-            np.cumsum(np.bincount(dst_local, minlength=n_dst), out=offsets[1:])
-            self._in_edges[etype] = (order, offsets)
+        # In-edge CSR over global edge ids.  Edges are stored by relation, so
+        # the stable by-destination order lists a node's incoming edges
+        # relation by relation: one slice per node, one run per (relation,
+        # destination) row inside it.
+        self._in_ptr = graph.csr_by_dst.indptr
+        self._in_edges = graph.csr_by_dst.edge_ids
+        self._edge_stride = max(graph.num_edges, 1)  # of ``owner * stride + edge`` keys
+        rows_per_type = np.bincount(graph.etype_endpoint_types[1], minlength=graph.num_node_types)
+        self._rows_per_node = rows_per_type[graph.node_type_ids]
 
     # ------------------------------------------------------------------
     # epochs
     # ------------------------------------------------------------------
-    def _seed_words(self, epoch: int, shard: Optional[int]) -> List[int]:
-        """The RNG seed tuple of one ``(epoch, shard)`` stream, validated.
+    def _stream_salt(self, epoch: int, shard: Optional[int]) -> np.uint64:
+        """The per-edge key salt of one ``(epoch, shard)`` stream, validated.
 
-        ``np.random.default_rng`` seed words must be non-negative; feeding it
-        a negative epoch (or shard) crashes deep inside numpy with an opaque
-        ``ValueError``, so both are rejected here with the argument named.
+        ``SeedSequence`` entropy words must be non-negative; a negative epoch
+        (or shard) crashes deep inside numpy with an opaque ``ValueError``, so
+        both are rejected here with the argument named.
         """
-        epoch = int(epoch)
         if epoch < 0:
-            raise ValueError(f"epoch must be >= 0 (RNG seed words are non-negative), got {epoch}")
-        if shard is not None:
-            shard = int(shard)
-            if shard < 0:
-                raise ValueError(f"shard must be >= 0 (RNG seed words are non-negative), got {shard}")
-        return [self.base_seed, epoch] if shard is None else [self.base_seed, epoch, shard]
+            raise ValueError(f"epoch must be >= 0 (seed words are non-negative), got {epoch}")
+        if shard is not None and shard < 0:
+            raise ValueError(f"shard must be >= 0 (seed words are non-negative), got {shard}")
+        words = [self.base_seed, epoch] if shard is None else [self.base_seed, epoch, shard]
+        return np.random.SeedSequence(words).generate_state(1, np.uint64)[0]
 
     def resample(self, epoch: Optional[int] = None, shard: Optional[int] = None) -> int:
         """Start a new sampling epoch; returns the epoch now in effect.
 
-        Clears the per-(relation, destination) draw memo and reseeds the RNG
-        from ``(base_seed, epoch)`` — or ``(base_seed, epoch, shard)`` for a
-        sharded sampler — so the new epoch draws fresh neighborhoods yet is
-        exactly reproducible: any sampler with the same base seed replays the
-        same ``(epoch, shard)`` stream regardless of what earlier epochs (or
-        other shards in between) sampled.  ``epoch`` defaults to the next
-        epoch in sequence; ``shard`` defaults to the sampler's current shard
-        (sticky, so per-worker samplers stay in their own stream across
-        epochs).
+        Re-salts the per-edge keys from ``(base_seed, epoch)`` — or
+        ``(base_seed, epoch, shard)`` for a sharded sampler — so the new epoch
+        draws fresh neighborhoods yet is exactly reproducible: any sampler
+        with the same base seed replays the same ``(epoch, shard)`` draws
+        regardless of what earlier epochs (or other shards in between)
+        sampled.  ``epoch`` defaults to the next epoch in sequence; ``shard``
+        defaults to the sampler's current shard (sticky, so per-worker
+        samplers stay in their own stream across epochs).
         """
         epoch = int(epoch) if epoch is not None else self.epoch + 1
         shard = self.shard if shard is None else int(shard)
-        words = self._seed_words(epoch, shard)
+        self._salt = self._stream_salt(epoch, shard)
         self.epoch = epoch
         self.shard = shard
-        self._rng = np.random.default_rng(words)
-        self._drawn.clear()
         return self.epoch
 
     set_epoch = resample
 
     @property
     def draw_hit_rate(self) -> float:
-        """Fraction of neighborhood lookups served by the epoch's draw memo."""
+        """``draw_hits / (draw_hits + draw_misses)``: skipped nodes against rows drawn."""
         lookups = self.draw_hits + self.draw_misses
         return self.draw_hits / lookups if lookups else 0.0
 
+    # ------------------------------------------------------------------
+    # drawing: (owner, node) frontiers -> (owner, edge) keys
     # ------------------------------------------------------------------
     def _validate_seeds(self, seeds) -> np.ndarray:
         graph = self.graph
@@ -284,150 +317,172 @@ class NeighborSampler:
             )
         return seeds
 
-    def _draw_frontier(
-        self,
-        frontier: np.ndarray,
-        fanout: Fanout,
-        kept_positions: Dict[CanonicalEtype, List[np.ndarray]],
-        call_memo: Optional[Dict] = None,
-    ) -> List[np.ndarray]:
-        """Draw every frontier node's incoming edges; returns per-relation
-        source chunks (parent global ids) of the newly kept edges."""
+    def _draw(self, frontier: np.ndarray, fanout: Fanout) -> np.ndarray:
+        """Kept incoming edges of a frontier, as sorted ``owner * E + edge`` keys.
+
+        ``frontier`` holds distinct ``owner * N + node`` keys.  All rows are
+        expanded in one pass; a (node, relation) row over the cap keeps the
+        ``fanout`` edges with the smallest salted keys.
+        """
         graph = self.graph
-        source_chunks: List[np.ndarray] = []
-        for etype in graph.canonical_etypes:
-            src_type, _, dst_type = etype
-            src_local, _ = graph.edges_per_relation[etype]
-            if not len(src_local):
-                continue
-            dst_offset = graph.node_type_offset(dst_type)
-            n_dst = graph.num_nodes_per_type[dst_type]
-            in_type = frontier[(frontier >= dst_offset) & (frontier < dst_offset + n_dst)]
-            if not len(in_type):
-                continue
-            positions = self._draw(etype, in_type - dst_offset, fanout, call_memo)
-            if not len(positions):
-                continue
-            kept_positions[etype].append(positions)
-            source_chunks.append(src_local[positions] + graph.node_type_offset(src_type))
-        return source_chunks
+        owner, node = np.divmod(frontier, graph.num_nodes)
+        self.draw_misses += int(self._rows_per_node[node].sum())
+        start = self._in_ptr[node]
+        degree = self._in_ptr[node + 1] - start
+        total = int(degree.sum())
+        # Flat slot i belongs to frontier entry entry[i]; its edge sits at CSR
+        # slot (i - first flat slot of the entry) + start[entry].
+        entry = np.repeat(np.arange(len(node)), degree)
+        shift = start - (np.cumsum(degree) - degree)
+        edges = self._in_edges[np.arange(total) + shift[entry]]
+        if fanout is not None and total and int(degree.max()) > fanout:
+            # Slots are in (entry, relation) order already: number the rows,
+            # then one sort on (row, top 32 key bits) ranks each row's edges.
+            relation = graph.edge_type[edges]
+            new_row = np.ones(total, dtype=bool)
+            new_row[1:] = (entry[1:] != entry[:-1]) | (relation[1:] != relation[:-1])
+            row = np.cumsum(new_row) - 1
+            keys = _splitmix64(edges.astype(np.uint64) + self._salt)
+            ranked = (row.astype(np.uint64) << np.uint64(32)) | (keys >> np.uint64(32))
+            by_key = np.argsort(ranked, kind="stable")
+            kept = by_key[np.arange(total) - np.flatnonzero(new_row)[row] < fanout]
+            edges, entry = edges[kept], entry[kept]
+        return np.sort(owner[entry] * self._edge_stride + edges)
 
-    def merged_positions(self, seeds) -> Dict[CanonicalEtype, np.ndarray]:
-        """Per-relation kept edge positions of the merged k-hop block of
-        ``seeds`` — the draw without the compaction.
+    def _expand(self, seeds, per_seed: bool, merged: bool) -> Tuple[List[np.ndarray], np.ndarray, int]:
+        """Draw hop by hop; returns per-hop ``(owner, edge)`` keys, the sorted
+        ``(owner, node)`` keys of every node touched, and the owner count.
 
-        This is the cacheable half of :meth:`sample`: positions are parent
-        edge indices (relation-local), already deduplicated and sorted, so
-        positions drawn for different seed sets can be unioned cheaply with
-        ``np.unique(np.concatenate(...))`` and re-compacted via
-        :meth:`assemble`.  Under ``fanout=None`` the union of per-seed
-        positions equals a fresh merged draw of the seed union (full
-        neighborhoods compose), which is what makes per-seed block caching
-        exact.
+        With ``per_seed`` every seed is its own owner (its neighborhood is
+        drawn independently of the others, all in the same pass); otherwise
+        the seed set is one owner.  ``merged`` expands only newly reached
+        nodes at each hop; per-hop draws hop ``i+1`` for the whole node set of
+        hop ``i``'s block.
         """
         graph = self.graph
         seeds = self._validate_seeds(seeds)
-        kept_positions: Dict[CanonicalEtype, List[np.ndarray]] = {
-            etype: [] for etype in graph.canonical_etypes
-        }
-        call_memo: Dict[Tuple[CanonicalEtype, int], np.ndarray] = {}
-        frontier = np.unique(seeds)
+        owners = np.arange(len(seeds)) if per_seed else 0
+        frontier = nodes = sorted_unique(owners * graph.num_nodes + seeds)
+        hops: List[np.ndarray] = []
         for fanout in self.fanouts:
-            source_chunks = self._draw_frontier(frontier, fanout, kept_positions, call_memo)
-            frontier = (
-                np.unique(np.concatenate(source_chunks))
-                if source_chunks
-                else np.zeros(0, dtype=np.int64)
-            )
-            if not len(frontier):
-                break
-        return {
-            etype: (np.unique(np.concatenate(chunks)) if chunks else np.zeros(0, dtype=np.int64))
-            for etype, chunks in kept_positions.items()
-        }
+            drawn = self._draw(frontier, fanout)
+            hops.append(drawn)
+            owner, edge = np.divmod(drawn, self._edge_stride)
+            reached = sorted_unique(owner * graph.num_nodes + graph.edge_src[edge])
+            touched = sorted_unique(np.concatenate((nodes, reached)))
+            if merged:
+                seen = np.zeros(len(touched), dtype=bool)
+                seen[np.searchsorted(touched, nodes)] = True
+                frontier = touched[~seen]
+                self.draw_hits += len(reached) - len(frontier)
+            else:
+                frontier = touched
+            nodes = touched
+        return hops, nodes, len(seeds) if per_seed else 1
 
-    def hop_positions(self, seeds) -> List[Dict[CanonicalEtype, np.ndarray]]:
-        """Per-hop per-relation kept edge positions, outermost-last.
+    def merged_positions(self, seeds, per_seed: bool = False):
+        """Kept edge ids of the merged k-hop block of ``seeds`` — the draw
+        without the compaction.
+
+        This is the cacheable half of :meth:`sample`: positions are global
+        edge ids, deduplicated and sorted, so positions drawn for different
+        seed sets union with one sort and re-compact via :meth:`assemble`.
+        Under ``fanout=None`` the union of per-seed positions equals a fresh
+        merged draw of the seed union (full neighborhoods compose), which is
+        what makes per-seed block caching exact.
+
+        With ``per_seed`` each seed's neighborhood is drawn on its own, all of
+        them in one pass: the result is one ``(positions, nodes)`` pair per
+        seed, ``nodes`` being the sorted node set the draw touches
+        (:meth:`positions_nodes`) — exactly what ``len(seeds)`` one-seed calls
+        would return.
+        """
+        hops, nodes, owners = self._expand(seeds, per_seed, merged=True)
+        drawn = np.sort(np.concatenate(hops))  # a node is expanded once, so hops are disjoint
+        if not per_seed:
+            return drawn
+        return list(zip(_split(drawn, owners, self._edge_stride), _split(nodes, owners, self.graph.num_nodes)))
+
+    def hop_positions(self, seeds, per_seed: bool = False):
+        """Per-hop kept edge ids, innermost hop first.
 
         The cacheable half of :meth:`sample_blocks`: entry ``i`` holds hop
-        ``i+1``'s drawn edge positions (deduplicated, sorted).  Hop ``i+1``'s
-        destination frontier is hop ``i``'s node set, reproduced here without
-        compaction via :meth:`positions_nodes`.
+        ``i+1``'s drawn edge ids (deduplicated, sorted).  Hop ``i+1``'s
+        destination frontier is hop ``i``'s node set.  ``per_seed`` is as in
+        :meth:`merged_positions`, each pair's positions being a per-hop list.
         """
-        seeds = self._validate_seeds(seeds)
-        hops: List[Dict[CanonicalEtype, np.ndarray]] = []
-        dst_frontier = np.unique(seeds)
-        for fanout in self.fanouts:
-            kept_positions: Dict[CanonicalEtype, List[np.ndarray]] = {
-                etype: [] for etype in self.graph.canonical_etypes
-            }
-            self._draw_frontier(dst_frontier, fanout, kept_positions)
-            positions = {
-                etype: (np.unique(np.concatenate(chunks)) if chunks else np.zeros(0, dtype=np.int64))
-                for etype, chunks in kept_positions.items()
-            }
-            hops.append(positions)
-            dst_frontier = self.positions_nodes(dst_frontier, positions)
-        return hops
+        hops, nodes, owners = self._expand(seeds, per_seed, merged=False)
+        if not per_seed:
+            return hops
+        per_hop = [_split(drawn, owners, self._edge_stride) for drawn in hops]
+        return list(zip(map(list, zip(*per_hop)), _split(nodes, owners, self.graph.num_nodes)))
 
-    def positions_nodes(self, seeds, positions) -> np.ndarray:
+    def positions_nodes(self, seeds, positions: Positions) -> np.ndarray:
         """The node set (sorted parent global ids) a positions draw touches.
 
-        ``positions`` is one per-relation dict (:meth:`merged_positions`) or
-        a list of them (:meth:`hop_positions`); the result is the union of
-        ``seeds`` and every kept edge's endpoints — exactly the node set of
-        the compacted block (block node order is type-major with sorted
-        parent-locals per type, and type offsets are cumulative, so the
-        block's ``node_map`` is this sorted set).
+        ``positions`` is one edge-id array (:meth:`merged_positions`) or a
+        list of them (:meth:`hop_positions`); the result is the union of
+        ``seeds`` and every kept edge's endpoints — exactly the ``node_map``
+        of the compacted block.
         """
         graph = self.graph
-        chunks = [np.unique(np.asarray(seeds, dtype=np.int64).reshape(-1))]
-        for per_relation in positions if isinstance(positions, list) else [positions]:
-            for etype, kept in per_relation.items():
-                if not len(kept):
-                    continue
-                src_type, _, dst_type = etype
-                src_local, dst_local = graph.edges_per_relation[etype]
-                chunks.append(src_local[kept] + graph.node_type_offset(src_type))
-                chunks.append(dst_local[kept] + graph.node_type_offset(dst_type))
-        return np.unique(np.concatenate(chunks))
+        edges = np.concatenate(positions) if isinstance(positions, list) else positions
+        seeds = np.asarray(seeds, dtype=np.int64).reshape(-1)
+        return sorted_unique(np.concatenate((seeds, graph.edge_src[edges], graph.edge_dst[edges])))
 
     def assemble(
         self,
         seeds,
-        positions: Dict[CanonicalEtype, np.ndarray],
+        positions: np.ndarray,
         required_nodes: Optional[np.ndarray] = None,
     ) -> MinibatchBlock:
-        """Compact a block from per-relation edge positions.
+        """Compact a block from sorted, deduplicated edge ids.
 
         The deterministic half of sampling: given positions (from
         :meth:`merged_positions`, or a union of cached per-seed draws), the
-        resulting block is a pure function of ``(seeds, positions)`` — no RNG,
-        no draw memo.  ``required_nodes`` keeps a destination frontier in the
-        block even where no edge touches it (the per-hop case).
+        resulting block is a pure function of ``(seeds, positions)``.  Block
+        nodes are the sorted parent ids of the seeds, any ``required_nodes``
+        (a destination frontier kept even where no edge touches it — the
+        per-hop case) and every kept edge's endpoints, which is type-major
+        order; block edges keep the parent's edge order, so every relation of
+        the parent's vocabulary is a (possibly empty) contiguous range and
+        edge-type ids keep indexing the same per-relation weights.
         """
+        graph = self.graph
         seeds = self._validate_seeds(seeds)
-        kept_positions: Dict[CanonicalEtype, List[np.ndarray]] = {
-            etype: ([positions[etype]] if len(positions.get(etype, ())) else [])
-            for etype in self.graph.canonical_etypes
-        }
-        return self._compact(seeds, kept_positions, required_nodes=required_nodes)
+        src, dst = graph.edge_src[positions], graph.edge_dst[positions]
+        members = (seeds, src, dst) if required_nodes is None else (seeds, required_nodes, src, dst)
+        node_map = sorted_unique(np.concatenate(members))
+        block_id = np.empty(graph.num_nodes, dtype=np.int64)  # read only at node_map's ids
+        block_id[node_map] = np.arange(len(node_map))
+        block_graph = HeteroGraph.from_flat(
+            graph,
+            node_type_offsets=np.searchsorted(node_map, graph.node_type_offsets),
+            edge_src=block_id[src],
+            edge_dst=block_id[dst],
+            etype_ptr=np.searchsorted(positions, graph.edge_segments.offsets),
+            name=f"{graph.name}/block[{len(seeds)}s,{len(node_map)}n]",
+        )
+        return MinibatchBlock(
+            graph=block_graph,
+            parent=graph,
+            node_map=node_map,
+            seeds=seeds,
+            seed_positions=block_id[seeds],
+            fanouts=self.fanouts,
+        )
 
-    def assemble_hop_blocks(
-        self,
-        seeds,
-        hops: List[Dict[CanonicalEtype, np.ndarray]],
-    ) -> List[HopBlock]:
+    def assemble_hop_blocks(self, seeds, hops: List[np.ndarray]) -> List[HopBlock]:
         """Compact one block per hop from per-hop positions (see
         :meth:`hop_positions`); returns outermost hop first, exactly as
         :meth:`sample_blocks` does."""
         seeds = self._validate_seeds(seeds)
         if len(hops) != len(self.fanouts):
             raise ValueError(
-                f"expected {len(self.fanouts)} per-hop position dicts, got {len(hops)}"
+                f"expected {len(self.fanouts)} per-hop position arrays, got {len(hops)}"
             )
         blocks: List[HopBlock] = []
-        dst_frontier = np.unique(seeds)
+        dst_frontier = sorted_unique(seeds)
         for hop_index, (fanout, positions) in enumerate(zip(self.fanouts, hops), start=1):
             block = self.assemble(seeds, positions, required_nodes=dst_frontier)
             dst_positions = np.searchsorted(block.node_map, dst_frontier)
@@ -448,11 +503,9 @@ class NeighborSampler:
     def sample(self, seeds) -> MinibatchBlock:
         """Sample the merged block of a set of seed nodes (parent global ids).
 
-        A destination revisited at a later hop reuses its first draw even
-        when the hops' fanouts differ (the per-call memo in
-        :meth:`merged_positions`), so merged per-relation in-degrees never
-        exceed the cap of the hop that first reached the node — the
-        block-level fanout invariant.
+        A destination reached again at a later hop is not expanded a second
+        time, so merged per-relation in-degrees never exceed the cap of the
+        hop that first reached the node — the block-level fanout invariant.
         """
         return self.assemble(seeds, self.merged_positions(seeds))
 
@@ -471,162 +524,13 @@ class NeighborSampler:
         * every hop preserves the parent's full relation vocabulary, so edge
           type ids keep indexing the same per-relation weights.
 
-        Draws share the epoch's memo with :meth:`sample`: within one epoch
+        Draws use the same per-edge keys as :meth:`sample`: within one epoch
         and under a uniform per-hop fanout, the outermost per-hop block and
         the merged k-hop block of the same seeds contain exactly the same
         edges, which is what makes per-hop vs merged aggregation-work
         comparisons edge-for-edge fair.
         """
         return self.assemble_hop_blocks(seeds, self.hop_positions(seeds))
-
-    def _draw(
-        self,
-        etype: CanonicalEtype,
-        dst_locals: np.ndarray,
-        fanout: Fanout,
-        call_memo: Optional[Dict] = None,
-    ) -> np.ndarray:
-        """Edge positions (relation-local) sampled for these destinations.
-
-        ``call_memo`` (merged sampling) pins one draw per ``(etype, dst)``
-        for the whole call regardless of per-hop fanouts; the epoch memo is
-        keyed by fanout so per-hop blocks under *different* caps never
-        inherit a larger hop's draw.
-        """
-        order, offsets = self._in_edges[etype]
-        chunks: List[np.ndarray] = []
-        for dst in dst_locals.tolist():
-            if call_memo is not None and (etype, dst) in call_memo:
-                self.draw_hits += 1
-                picked = call_memo[(etype, dst)]
-                if len(picked):
-                    chunks.append(picked)
-                continue
-            key = (etype, dst, fanout)
-            picked = self._drawn.get(key)
-            if picked is None:
-                self.draw_misses += 1
-                incoming = order[offsets[dst]:offsets[dst + 1]]
-                if fanout is not None and len(incoming) > fanout:
-                    picked = self._rng.choice(incoming, size=fanout, replace=False)
-                    picked.sort()
-                else:
-                    picked = incoming
-                self._drawn[key] = picked
-            else:
-                self.draw_hits += 1
-            if call_memo is not None:
-                call_memo[(etype, dst)] = picked
-            if len(picked):
-                chunks.append(picked)
-        if not chunks:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(chunks)
-
-    # ------------------------------------------------------------------
-    def _compact(
-        self,
-        seeds: np.ndarray,
-        kept_positions: Dict[CanonicalEtype, List[np.ndarray]],
-        required_nodes: Optional[np.ndarray] = None,
-    ) -> MinibatchBlock:
-        """Relabel the sampled nodes/edges into a schema-preserving block.
-
-        ``required_nodes`` (parent global ids) are kept in the block even if
-        no sampled edge touches them — per-hop blocks must contain their
-        whole destination frontier so hop boundaries compose.
-        """
-        graph = self.graph
-
-        # Deduplicated edge positions per relation (a destination revisited
-        # across hops contributes its memoised draw once).
-        final_positions: Dict[CanonicalEtype, np.ndarray] = {}
-        for etype, chunks in kept_positions.items():
-            final_positions[etype] = (
-                np.unique(np.concatenate(chunks)) if chunks else np.zeros(0, dtype=np.int64)
-            )
-
-        # Node set per type: seeds (and any required nodes) plus every
-        # endpoint of a kept edge.
-        kept_locals: Dict[str, List[np.ndarray]] = {t: [] for t in graph.node_type_names}
-        seed_types = np.searchsorted(graph.node_type_offsets, seeds, side="right") - 1
-        for type_id, type_name in enumerate(graph.node_type_names):
-            of_type = seeds[seed_types == type_id]
-            if len(of_type):
-                kept_locals[type_name].append(of_type - graph.node_type_offsets[type_id])
-        if required_nodes is not None and len(required_nodes):
-            required_types = np.searchsorted(graph.node_type_offsets, required_nodes, side="right") - 1
-            for type_id, type_name in enumerate(graph.node_type_names):
-                of_type = required_nodes[required_types == type_id]
-                if len(of_type):
-                    kept_locals[type_name].append(of_type - graph.node_type_offsets[type_id])
-        for etype, positions in final_positions.items():
-            if not len(positions):
-                continue
-            src_type, _, dst_type = etype
-            src_local, dst_local = graph.edges_per_relation[etype]
-            kept_locals[src_type].append(src_local[positions])
-            kept_locals[dst_type].append(dst_local[positions])
-        unique_locals: Dict[str, np.ndarray] = {
-            t: (np.unique(np.concatenate(chunks)) if chunks else np.zeros(0, dtype=np.int64))
-            for t, chunks in kept_locals.items()
-        }
-
-        # Block layout: parent type order, sorted parent-local ids per type.
-        block_counts = {t: int(len(unique_locals[t])) for t in graph.node_type_names}
-        block_offsets: Dict[str, int] = {}
-        running = 0
-        for t in graph.node_type_names:
-            block_offsets[t] = running
-            running += block_counts[t]
-        node_map_chunks = [
-            unique_locals[t] + graph.node_type_offset(t) for t in graph.node_type_names
-        ]
-        node_map = (
-            np.concatenate(node_map_chunks) if running else np.zeros(0, dtype=np.int64)
-        )
-
-        # Relabel every relation's endpoints into block-local ids, keeping the
-        # parent's full relation vocabulary (empty relations stay, so edge-type
-        # ids — and therefore per-relation weights — line up).
-        block_edges: Dict[CanonicalEtype, Tuple[np.ndarray, np.ndarray]] = {}
-        for etype in graph.canonical_etypes:
-            positions = final_positions[etype]
-            src_type, _, dst_type = etype
-            if not len(positions):
-                block_edges[etype] = (
-                    np.zeros(0, dtype=np.int64),
-                    np.zeros(0, dtype=np.int64),
-                )
-                continue
-            src_local, dst_local = graph.edges_per_relation[etype]
-            block_edges[etype] = (
-                np.searchsorted(unique_locals[src_type], src_local[positions]),
-                np.searchsorted(unique_locals[dst_type], dst_local[positions]),
-            )
-
-        block_graph = HeteroGraph(
-            {t: block_counts[t] for t in graph.node_type_names},
-            block_edges,
-            name=f"{graph.name}/block[{len(seeds)}s,{running}n]",
-        )
-
-        seed_positions = np.empty(len(seeds), dtype=np.int64)
-        for index, (seed, type_id) in enumerate(zip(seeds.tolist(), seed_types.tolist())):
-            type_name = graph.node_type_names[type_id]
-            local = seed - int(graph.node_type_offsets[type_id])
-            seed_positions[index] = block_offsets[type_name] + int(
-                np.searchsorted(unique_locals[type_name], local)
-            )
-
-        return MinibatchBlock(
-            graph=block_graph,
-            parent=graph,
-            node_map=node_map,
-            seeds=seeds,
-            seed_positions=seed_positions,
-            fanouts=self.fanouts,
-        )
 
 
 def sample_block(

@@ -67,12 +67,7 @@ class GraphContext:
             )
         segments = graph.edge_segments
         compaction = graph.compaction
-        etype_to_src = np.zeros(graph.num_edge_types, dtype=np.int64)
-        etype_to_dst = np.zeros(graph.num_edge_types, dtype=np.int64)
-        for etype, index in ((etype, graph.edge_type_id(etype)) for etype in graph.canonical_etypes):
-            src_type, _, dst_type = etype
-            etype_to_src[index] = graph.node_type_id(src_type)
-            etype_to_dst[index] = graph.node_type_id(dst_type)
+        etype_to_src, etype_to_dst = graph.etype_endpoint_types
         return cls(
             num_nodes=graph.num_nodes,
             num_edges=graph.num_edges,

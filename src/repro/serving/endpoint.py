@@ -5,10 +5,11 @@ owns a schema-specialised compiled module (a single
 :class:`~repro.runtime.module.CompiledRGNNModule` or a multi-layer
 :class:`~repro.runtime.multilayer.MultiLayerModule` stack served per-hop),
 the parent graph requests sample their blocks from, the per-endpoint feature
-store, sampler (fanouts + RNG), micro-batching policy, a **per-seed block
-cache** (each seed's drawn neighborhood is cached independently; a batch's
-block is assembled from the per-seed draws with a cheap position union, so
-overlapping-but-not-identical batches still reuse hot draws, and a feature
+store, sampler (fanouts + seed), micro-batching policy, a **per-seed block
+cache** (each seed's drawn neighborhood — a sorted array of parent edge ids —
+is cached independently; a batch draws all its uncached seeds in one sampler
+call and assembles its block from the per-seed draws with one position union,
+so overlapping-but-not-identical batches still reuse hot draws, and a feature
 update invalidates only the seeds whose neighborhoods it touches), and
 per-endpoint telemetry.  Memory is *not* owned here — endpoints lease arenas
 from the router's :class:`~repro.runtime.planner.SharedArenaBudget` through a
@@ -33,7 +34,7 @@ from repro.frontend.compiler import compile_program
 from repro.frontend.config import CompilerOptions
 from repro.graph.generators import random_features
 from repro.graph.hetero_graph import HeteroGraph
-from repro.graph.sampler import Fanout, MinibatchBlock, NeighborSampler
+from repro.graph.sampler import Fanout, NeighborSampler, Positions, sorted_unique
 from repro.runtime.module import CompiledRGNNModule
 from repro.runtime.multilayer import MultiLayerModule
 from repro.serving.admission import AdmissionController, AdmissionPolicy
@@ -84,7 +85,7 @@ def resolve_module(
 
     Returns ``(module, program, options)``; ``program``/``options`` are kept
     only when the endpoint compiled the model itself with the compilation
-    cache enabled — they drive the per-batch plan-replay check.  Adopted
+    cache enabled — they drive the plan-replay accounting.  Adopted
     modules carry no program handle, so replay accounting is off for them
     (plan reuse still holds trivially: the endpoint binds the one module it
     was given).
@@ -131,40 +132,21 @@ def validate_endpoint_config(
 
 @dataclass
 class _SeedEntry:
-    """One seed's cached draw: its kept edge positions and the node set they
-    touch (the per-seed invalidation footprint).
+    """One seed's cached draw: its kept edge ids and the node set they touch
+    (the per-seed invalidation footprint).
 
-    ``positions`` is one per-relation dict for single-layer endpoints
-    (:meth:`NeighborSampler.merged_positions`) or a per-hop list of them for
-    per-hop stacks (:meth:`NeighborSampler.hop_positions`).
+    ``positions`` is one sorted array of parent edge ids for single-layer
+    endpoints (:meth:`NeighborSampler.merged_positions`) or a per-hop list of
+    them for per-hop stacks (:meth:`NeighborSampler.hop_positions`).
     """
 
-    positions: object
+    positions: Positions
     nodes: np.ndarray
 
 
-@dataclass
-class _UnionMemo:
-    """A batch-level memo: the assembled block(s) of one frozen seed set,
-    valid only while every constituent per-seed entry is still the live
-    cache entry for its seed (checked by identity — entry replacement or
-    eviction silently invalidates every memo built from it)."""
-
-    block: object
-    entries: Tuple[_SeedEntry, ...]
-
-
-def _union_positions(dicts: List[Dict]) -> Dict:
-    """Union per-relation position dicts (each already deduplicated/sorted)."""
-    if len(dicts) == 1:
-        return dicts[0]
-    out = {}
-    for etype in dicts[0]:
-        chunks = [d[etype] for d in dicts if len(d[etype])]
-        out[etype] = (
-            np.unique(np.concatenate(chunks)) if chunks else np.zeros(0, dtype=np.int64)
-        )
-    return out
+def _union(positions: List[np.ndarray]) -> np.ndarray:
+    """Union of sorted, deduplicated edge-id arrays."""
+    return positions[0] if len(positions) == 1 else sorted_unique(np.concatenate(positions))
 
 
 class Endpoint:
@@ -191,11 +173,10 @@ class Endpoint:
         block_cache_size: capacity of the per-seed draw cache, in seeds
             (0 disables caching — the legacy engine shim uses this to stay
             bit-identical with resample-every-batch behaviour under finite
-            fanouts).  The batch-level union memo is bounded by the same
-            count.
+            fanouts).
         program / options: compilation handles for plan-replay accounting
             (see :func:`resolve_module`).
-        sampler_seed: RNG seed of the endpoint's private sampler.
+        sampler_seed: base seed of the endpoint's private sampler.
     """
 
     def __init__(
@@ -226,8 +207,12 @@ class Endpoint:
         self.batch_timeout_s = batch_timeout_s
         self.arena_source = arena_source
         self.block_cache_size = block_cache_size
-        self._program = program
-        self._options = options
+        #: Whether a compile-per-request deployment would replay this module's
+        #: plan from the compilation cache for any graph of the parent's schema
+        #: (``None``: adopted module or stack, replay accounting off).  The
+        #: program and options never change after registration, so per batch
+        #: only the block's schema is left to compare.
+        self._plan_cached: Optional[bool] = None
         #: Shared by the submit path and the serving loop, so rate/queue/
         #: deadline budgets apply to the endpoint's whole request stream.
         self.admission = AdmissionController(admission) if admission is not None else None
@@ -237,6 +222,8 @@ class Endpoint:
                 f"endpoint {name!r}: a {module.num_layers}-layer stack is served "
                 f"per-hop and needs one fanout per layer, got {len(tuple(fanouts))}"
             )
+        if program is not None and not self._per_hop:
+            self._plan_cached = compile_program(program, options, graph=graph).plan is module.plan
 
         dim = module.input_feature_dim
         if features is None:
@@ -267,14 +254,12 @@ class Endpoint:
         self.plan_recompiles = 0
         self.pending: List[ServingRequest] = []
         self._pending_lock = threading.Lock()
-        # Two cache levels: per-seed draws (the unit of reuse and of
-        # invalidation) and a batch-level union memo (skips even the cheap
-        # assembly for exactly-repeated seed sets).
+        # One cache level: per-seed draws, the unit of reuse, of LRU eviction
+        # and of invalidation.  A batch "hits" when none of its seeds needed
+        # a fresh draw.
         self._seed_cache: "OrderedDict[int, _SeedEntry]" = OrderedDict()
-        self._union_memo: "OrderedDict[Tuple[int, ...], _UnionMemo]" = OrderedDict()
         self.block_cache_hits = 0
         self.block_cache_misses = 0
-        self.block_cache_evictions = 0
         self.seed_cache_hits = 0
         self.seed_cache_misses = 0
         self.seed_cache_evictions = 0
@@ -343,33 +328,23 @@ class Endpoint:
     # ------------------------------------------------------------------
     # block cache
     # ------------------------------------------------------------------
-    def _draw_entry(self, seed_id: int) -> _SeedEntry:
-        """Draw (and footprint) one seed's neighborhood in the current epoch."""
-        seeds = np.asarray([seed_id], dtype=np.int64)
-        if self._per_hop:
-            positions = self.sampler.hop_positions(seeds)
-        else:
-            positions = self.sampler.merged_positions(seeds)
-        return _SeedEntry(positions=positions, nodes=self.sampler.positions_nodes(seeds, positions))
-
-    def _assemble(self, union_seeds: np.ndarray, entries: Tuple[_SeedEntry, ...]):
+    def _assemble(self, union_seeds: np.ndarray, entries: List[_SeedEntry]):
         """Assemble the batch block(s) from per-seed position draws.
 
-        Pure compaction — no RNG — so the result is a deterministic function
-        of the cached entries.  Under ``fanout=None`` the union of per-seed
+        Pure compaction, so the result is a deterministic function of the
+        cached entries.  Under ``fanout=None`` the union of per-seed
         positions equals a fresh draw of the seed union (full neighborhoods
         compose); under finite fanouts a shared frontier node may keep the
-        draws of several seeds, so per-node in-degree can exceed a single
+        draws of several epochs, so per-node in-degree can exceed a single
         draw's cap — a denser but still valid sample.
         """
         if self._per_hop:
             hops = [
-                _union_positions([entry.positions[hop] for entry in entries])
+                _union([entry.positions[hop] for entry in entries])
                 for hop in range(len(self.fanouts))
             ]
             return self.sampler.assemble_hop_blocks(union_seeds, hops)
-        merged = _union_positions([entry.positions for entry in entries])
-        return self.sampler.assemble(union_seeds, merged)
+        return self.sampler.assemble(union_seeds, _union([entry.positions for entry in entries]))
 
     def _sample_block(self, union_seeds: np.ndarray) -> Tuple[object, Optional[bool]]:
         """The batch's block(s): per-seed cache + union assembly.
@@ -379,63 +354,42 @@ class Endpoint:
         (the batch skipped sampling entirely).
 
         Serving has no training epochs, so every batch with at least one
-        uncached seed advances the sampler's epoch: misses draw *fresh*
-        neighborhoods under finite fanouts (the sampler's draw memo is
-        epoch-scoped).  Reuse of drawn neighborhoods is the per-seed cache's
-        job, not the draw memo's.
+        uncached seed advances the sampler's epoch and draws all its missing
+        seeds in one call: misses see *fresh* neighborhoods under finite
+        fanouts.  Reuse of drawn neighborhoods is the per-seed cache's job.
         """
+        sampler = self.sampler
         if self.block_cache_size == 0:
-            self.sampler.resample()
+            sampler.resample()
             if self._per_hop:
-                return self.sampler.sample_blocks(union_seeds), None
-            return self.sampler.sample(union_seeds), None
-        key = tuple(union_seeds.tolist())
-        memo = self._union_memo.get(key)
-        if memo is not None:
-            if all(
-                self._seed_cache.get(seed_id) is entry
-                for seed_id, entry in zip(key, memo.entries)
-            ):
-                self.block_cache_hits += 1
-                self.seed_cache_hits += len(key)
-                self._union_memo.move_to_end(key)
-                for seed_id in key:
-                    self._seed_cache.move_to_end(seed_id)
-                return memo.block, True
-            del self._union_memo[key]  # built from since-replaced draws
-        missing = [seed_id for seed_id in key if seed_id not in self._seed_cache]
+                return sampler.sample_blocks(union_seeds), None
+            return sampler.sample(union_seeds), None
+        cache = self._seed_cache
+        key = union_seeds.tolist()
+        missing = [seed_id for seed_id in key if seed_id not in cache]
         if missing:
-            self.sampler.resample()
-            for seed_id in missing:
-                self._seed_cache[seed_id] = self._draw_entry(seed_id)
+            sampler.resample()
+            draw = sampler.hop_positions if self._per_hop else sampler.merged_positions
+            for seed_id, (positions, nodes) in zip(missing, draw(missing, per_seed=True)):
+                cache[seed_id] = _SeedEntry(positions, nodes)
             self.seed_cache_misses += len(missing)
-        self.seed_cache_hits += len(key) - len(missing)
-        entries = tuple(self._seed_cache[seed_id] for seed_id in key)
-        for seed_id in key:
-            self._seed_cache.move_to_end(seed_id)
-        while len(self._seed_cache) > self.block_cache_size:
-            self._seed_cache.popitem(last=False)
-            self.seed_cache_evictions += 1
-        block = self._assemble(union_seeds, entries)
-        self._union_memo[key] = _UnionMemo(block=block, entries=entries)
-        while len(self._union_memo) > self.block_cache_size:
-            self._union_memo.popitem(last=False)
-            self.block_cache_evictions += 1
-        # Batch-level hit = no sampling happened (assembly is cheap); this is
-        # strictly more generous than the old whole-batch-union key, which
-        # missed whenever the exact seed set was new.
-        if missing:
             self.block_cache_misses += 1
-            return block, False
-        self.block_cache_hits += 1
-        return block, True
+        else:
+            self.block_cache_hits += 1
+        self.seed_cache_hits += len(key) - len(missing)
+        for seed_id in key:
+            cache.move_to_end(seed_id)
+        entries = [cache[seed_id] for seed_id in key]
+        while len(cache) > self.block_cache_size:
+            cache.popitem(last=False)
+            self.seed_cache_evictions += 1
+        return self._assemble(union_seeds, entries), not missing
 
     def invalidate_block_cache(self) -> int:
         """Drop every cached draw (e.g. after the parent graph's structure
         changes); returns the number of seed entries dropped."""
         dropped = len(self._seed_cache)
         self._seed_cache.clear()
-        self._union_memo.clear()
         return dropped
 
     def update_features(self, node_ids, rows) -> int:
@@ -443,8 +397,8 @@ class Endpoint:
 
         A seed's cache entry dies iff its sampled neighborhood contains an
         updated node — hot seeds whose neighborhoods are disjoint from the
-        update keep their draws (and their union memos).  Returns the number
-        of seed entries invalidated.
+        update keep their draws.  Returns the number of seed entries
+        invalidated.
         """
         node_ids = np.asarray(node_ids, dtype=np.int64).reshape(-1)
         if node_ids.size == 0:
@@ -462,27 +416,14 @@ class Endpoint:
                 f"{rows.shape[1]}, the store holds {self.features.shape[1]}"
             )
         self.features[node_ids] = rows
+        updated = np.zeros(self.graph.num_nodes, dtype=bool)
+        updated[node_ids] = True
         touched = [
-            seed_id
-            for seed_id, entry in self._seed_cache.items()
-            if np.isin(node_ids, entry.nodes).any()
+            seed_id for seed_id, entry in self._seed_cache.items() if updated[entry.nodes].any()
         ]
         for seed_id in touched:
             del self._seed_cache[seed_id]
         self.seed_cache_invalidations += len(touched)
-        # Union memos built (in part) from dropped entries are now stale; the
-        # identity check would catch them lazily, but drop them eagerly so
-        # stale blocks do not pin memory.
-        stale = [
-            key
-            for key, memo in self._union_memo.items()
-            if any(
-                self._seed_cache.get(seed_id) is not entry
-                for seed_id, entry in zip(key, memo.entries)
-            )
-        ]
-        for key in stale:
-            del self._union_memo[key]
         return len(touched)
 
     @property
@@ -518,12 +459,11 @@ class Endpoint:
         execute_start = timer()
 
         plan_replayed: Optional[bool] = None
-        if self._program is not None and not self._per_hop:
-            # Replay the compiled artefact through the cache, exactly as a
-            # compile-per-request deployment would — except it must *hit*:
-            # blocks share the parent's schema, and sizes never enter the key.
-            result = compile_program(self._program, self._options, graph=block.graph)
-            plan_replayed = result.plan is self.module.plan
+        if self._plan_cached is not None:
+            # A compile-per-request deployment would look the block up in the
+            # compilation cache, and it must *hit*: blocks share the parent's
+            # schema, and sizes never enter the key.
+            plan_replayed = self._plan_cached and self.module.schema.matches(block.graph)
             if plan_replayed:
                 self.plan_replays += 1
             else:  # pragma: no cover - would indicate a cache-key regression
@@ -579,7 +519,6 @@ class Endpoint:
         self.plan_recompiles = 0
         self.block_cache_hits = 0
         self.block_cache_misses = 0
-        self.block_cache_evictions = 0
         self.seed_cache_hits = 0
         self.seed_cache_misses = 0
         self.seed_cache_evictions = 0
@@ -596,7 +535,6 @@ class Endpoint:
         if self.block_cache_size:
             out["block_cache_hit_rate"] = round(self.block_cache_hit_rate, 3)
             out["block_cache_len"] = self.block_cache_len
-            out["block_cache_evictions"] = self.block_cache_evictions
             seed_lookups = self.seed_cache_hits + self.seed_cache_misses
             out["seed_cache_hit_rate"] = round(
                 self.seed_cache_hits / seed_lookups if seed_lookups else 0.0, 3

@@ -303,9 +303,10 @@ def run_serving_loop(
     same clock stops, same latencies).  With ``workers > 1`` batches run on a
     thread pool while the virtual clock tracks the *parallel* schedule: a
     batch dispatched at virtual time ``t`` with measured service ``s``
-    finishes at ``t + s``; completions fold back on the loop thread in
-    virtual-finish order, each first admitting any arrivals that virtually
-    precede it.  Requests whose deadline expired before dispatch are shed,
+    finishes at ``t + s``; completions fold back on the loop thread one at
+    a time in virtual-finish order, each first admitting any arrivals that
+    virtually precede it and letting the freed lane dispatch at its finish
+    time.  Requests whose deadline expired before dispatch are shed,
     never executed.  A batch whose ``execute`` raises marks its requests
     ``"failed"`` (the router's executor narrows this to the poisonous
     request) and the loop keeps serving.
@@ -395,8 +396,15 @@ def run_serving_loop(
             on_complete(name, requests, finish_s)
 
     def fold_finished(block: bool) -> bool:
-        """Fold completed futures (optionally blocking for the first); returns
-        whether anything folded."""
+        """Fold the completed batch with the earliest virtual finish
+        (optionally blocking for the first completion); returns whether one
+        folded.
+
+        One at a time: the loop gets to dispatch the freed lane's next batch
+        at *its* finish time before a later completion advances the clock, so
+        batches that complete together in real time (workers sharing a CPU)
+        do not start their successors at the latest finish of the clump.
+        """
         nonlocal free_slots
         futures = [entry[0] for entry in in_flight.values()]
         if not futures:
@@ -404,7 +412,7 @@ def run_serving_loop(
         if block:
             wait(futures, return_when=FIRST_COMPLETED)
         finished = []
-        for name, (future, requests, start_s) in list(in_flight.items()):
+        for name, (future, requests, start_s) in in_flight.items():
             if not future.done():
                 continue
             try:
@@ -418,18 +426,18 @@ def run_serving_loop(
             finished.append((start_s + service_s, name, requests, service_s))
         if not finished:
             return False
-        # Fold in virtual-finish order, admitting arrivals that virtually
-        # precede each completion first, so queue depths evolve in (almost)
-        # virtual-time order even though real completions arrive unordered.
-        for finish_s, name, requests, service_s in sorted(
+        finish_s, name, requests, service_s = min(
             finished, key=lambda entry: (entry[0], lane_index[entry[1]])
-        ):
-            process_due(finish_s)
-            clock.advance_to(finish_s)
-            del in_flight[name]
-            state[name].busy = False
-            free_slots += 1
-            fold(name, requests, service_s, finish_s)
+        )
+        # Admit the arrivals that virtually precede the completion first, so
+        # queue depths evolve in (almost) virtual-time order even though real
+        # completions arrive unordered.
+        process_due(finish_s)
+        clock.advance_to(finish_s)
+        del in_flight[name]
+        state[name].busy = False
+        free_slots += 1
+        fold(name, requests, service_s, finish_s)
         return True
 
     def dispatchable(now_s: float) -> List[str]:

@@ -74,7 +74,11 @@ class TrainStats:
 
         Args:
             sampler: optional :class:`~repro.graph.sampler.NeighborSampler`
-                whose draw-memo hit rate should be included.
+                whose ``draw_hit_rate`` — frontier nodes a merged draw
+                skipped because an earlier hop had already expanded them,
+                against the (relation, destination) rows drawn; 0 for
+                per-hop sampling — should be included as
+                ``sampler_hit_rate``.
             arena_pools: optional iterable of arena lease sources (anything
                 with ``hits`` / ``misses`` counters — an
                 :class:`~repro.runtime.planner.ArenaPool` ``.stats`` or a

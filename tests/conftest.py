@@ -33,6 +33,38 @@ def medium_graph() -> HeteroGraph:
     )
 
 
+def _adversarial_graph() -> HeteroGraph:
+    """Every structural corner at once: an empty relation, a one-node type,
+    duplicate edges, self-loops and nodes without incoming edges."""
+    none = np.zeros(0, dtype=np.int64)
+    edges = {
+        ("a", "loops", "a"): (np.array([0, 0, 1, 1, 2, 3, 3, 3]), np.array([0, 0, 1, 2, 2, 2, 2, 2])),
+        ("a", "empty", "hub"): (none, none),
+        ("hub", "fans_out", "a"): (np.array([0, 0, 0, 0]), np.array([4, 4, 3, 2])),
+        ("c", "fans_in", "hub"): (np.array([0, 1, 2, 2, 3, 4]), np.array([0, 0, 0, 0, 0, 0])),
+        ("c", "chain", "c"): (np.array([0, 1, 2, 3]), np.array([1, 2, 3, 4])),
+    }
+    return HeteroGraph({"a": 6, "hub": 1, "c": 5}, edges, name="adversarial")
+
+
+#: name -> builder of the graphs the flat-edge-space tests sweep.
+CORNER_GRAPHS = {
+    "adversarial": _adversarial_graph,
+    "48-relations": lambda: random_hetero_graph(
+        num_nodes=240, num_edges=2400, num_node_types=6, num_edge_types=48, seed=5, name="manyrel"
+    ),
+    "dense": lambda: random_hetero_graph(
+        num_nodes=80, num_edges=1600, num_node_types=2, num_edge_types=3, seed=7, name="dense"
+    ),
+}
+
+
+@pytest.fixture(scope="session", params=list(CORNER_GRAPHS))
+def corner_graph(request) -> HeteroGraph:
+    """Graphs past the random fixtures: structural corners, 48 relations, high in-degree."""
+    return CORNER_GRAPHS[request.param]()
+
+
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)

@@ -102,6 +102,51 @@ def run_loop(
     return result, executed
 
 
+def test_batches_completing_together_fold_one_at_a_time(monkeypatch):
+    """Both lanes' first batches are complete by the time the loop looks (the
+    pool runs every batch inline at submission); the short lane's second batch
+    must start at its own first finish, not at the longer lane's."""
+    from concurrent.futures import Future
+
+    from repro.serving import scheduler
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def submit(self, function, *args):
+            future = Future()
+            future.set_result(function(*args))
+            return future
+
+        def shutdown(self, wait=True):
+            pass
+
+    monkeypatch.setattr(scheduler, "ThreadPoolExecutor", InlinePool)
+    service = {"alpha": 1.0, "beta": 3.0}
+    finishes = []
+
+    def execute(name, requests):
+        for request in requests:
+            request.result = np.zeros(1)
+        return service[name]
+
+    arrivals = [
+        (name, ServingRequest(seeds=np.array([index]), arrival_s=0.0, endpoint=name))
+        for index, name in enumerate(("alpha", "beta", "alpha", "beta"))
+    ]
+    lanes = {name: LaneSpec(max_batch_size=1, batch_timeout_s=0.0) for name in LANES}
+    wrr = WeightedRoundRobin()
+    for name in LANES:
+        wrr.register(name, 1)
+    result = run_serving_loop(
+        arrivals, lanes, wrr, execute, clock=VirtualClock(), workers=2,
+        on_complete=lambda name, requests, finish_s: finishes.append((name, finish_s)),
+    )
+    assert finishes == [("alpha", 1.0), ("alpha", 2.0), ("beta", 3.0), ("beta", 6.0)]
+    assert (result.makespan_s, result.busy_s) == (6.0, 8.0)
+
+
 class TestTokenBucketProperties:
     @given(
         st.tuples(

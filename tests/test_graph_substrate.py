@@ -37,6 +37,53 @@ class TestHeteroGraphConstruction:
         with pytest.raises(ValueError):
             HeteroGraph({}, {})
 
+    def test_from_flat_equals_the_dict_constructor(self, corner_graph):
+        graph = corner_graph
+        flat = HeteroGraph.from_flat(
+            graph, graph.node_type_offsets, graph.edge_src, graph.edge_dst,
+            graph.edge_segments.offsets, name="flat",
+        )
+        # The vocabulary is the parent's, by identity.
+        assert flat.node_type_names is graph.node_type_names
+        assert flat.canonical_etypes is graph.canonical_etypes
+        assert flat.num_nodes_per_type == graph.num_nodes_per_type
+        assert (flat.name, flat.num_nodes, flat.num_edges) == ("flat", graph.num_nodes, graph.num_edges)
+        for name in ("edge_src", "edge_dst", "edge_type", "node_type_ids"):
+            assert getattr(flat, name).tobytes() == getattr(graph, name).tobytes(), name
+            assert getattr(flat, name).dtype == np.int64
+        assert list(flat.edges_per_relation) == list(graph.edges_per_relation)
+        for etype, (src_local, dst_local) in graph.edges_per_relation.items():
+            np.testing.assert_array_equal(flat.edges_per_relation[etype][0], src_local)
+            np.testing.assert_array_equal(flat.edges_per_relation[etype][1], dst_local)
+            assert flat.num_edges_of_relation(etype) == len(src_local)
+        for mine, theirs in ((flat.edge_segments, graph.edge_segments), (flat.compaction, graph.compaction)):
+            for name, value in vars(theirs).items():
+                np.testing.assert_array_equal(getattr(mine, name), value, err_msg=name)
+        np.testing.assert_array_equal(flat.degree_normalization(), graph.degree_normalization())
+
+    def test_from_flat_rejects_out_of_range_endpoints_and_bad_pointers(self, tiny_graph):
+        graph = tiny_graph
+        offsets, ptr = graph.node_type_offsets, graph.edge_segments.offsets
+        papers = graph.node_type_offset("paper")
+        for bad_src, bad_dst in (
+            (papers, None),   # "writes" sources are authors
+            (None, 0),        # ... and its destinations papers
+            (-1, None),
+            (None, graph.num_nodes),
+        ):
+            src, dst = graph.edge_src.copy(), graph.edge_dst.copy()
+            if bad_src is not None:
+                src[0] = bad_src
+            if bad_dst is not None:
+                dst[0] = bad_dst
+            with pytest.raises(ValueError, match="writes.*out-of-range"):
+                HeteroGraph.from_flat(graph, offsets, src, dst, ptr)
+        for bad_ptr in (ptr[:-1], ptr + 1, np.array([0, 2, graph.num_edges + 1])):
+            with pytest.raises(ValueError, match="etype_ptr"):
+                HeteroGraph.from_flat(graph, offsets, graph.edge_src, graph.edge_dst, bad_ptr)
+        with pytest.raises(ValueError, match="offsets"):
+            HeteroGraph.from_flat(graph, offsets[:-1], graph.edge_src, graph.edge_dst, ptr)
+
     def test_degrees_and_normalization(self, tiny_graph):
         assert tiny_graph.in_degrees().sum() == tiny_graph.num_edges
         assert tiny_graph.out_degrees().sum() == tiny_graph.num_edges

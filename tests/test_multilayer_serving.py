@@ -96,9 +96,10 @@ class TestStackEndpoints:
         second = router.query("stack", SEEDS)
         assert endpoint.block_cache_hits == hits_before + 1
         np.testing.assert_array_equal(first, second)
-        # Per-hop entries: one positions dict per layer in each seed's draw.
+        # Per-hop entries: one edge-id array per layer in each seed's draw.
         entry = endpoint._seed_cache[int(SEEDS[0])]
         assert isinstance(entry.positions, list) and len(entry.positions) == 2
+        assert all(isinstance(hop, np.ndarray) and hop.dtype == np.int64 for hop in entry.positions)
 
     def test_stack_needs_one_fanout_per_layer(self, graph, features, stacks):
         router = Router()

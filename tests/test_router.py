@@ -320,8 +320,8 @@ class TestBlockCache:
         endpoint = router.endpoint("small-cache")
         router.query("small-cache", [1])
         router.query("small-cache", [2])
-        router.query("small-cache", [3])  # evicts the [1] block
-        assert endpoint.block_cache_evictions == 1
+        router.query("small-cache", [3])  # evicts seed 1's draw
+        assert endpoint.seed_cache_evictions == 1
         router.query("small-cache", [1])  # miss: was evicted
         assert endpoint.block_cache_misses == 4 and endpoint.block_cache_hits == 0
         router.query("small-cache", [1])  # hit now
@@ -361,6 +361,40 @@ class TestBlockCache:
         epoch_after_first = endpoint.sampler.epoch
         router.query("cached", [1, 2, 3])  # cache hit: no sampling, no epoch
         assert endpoint.sampler.epoch == epoch_after_first
+
+
+    def test_a_batch_draws_its_missing_seeds_in_one_call_and_writes_invalidate_by_footprint(
+        self, graph_a, monkeypatch
+    ):
+        router = _router()
+        endpoint = _register(router, "batch", graph_a, block_cache_size=64, fanouts=(3, 2),
+                             max_batch_size=8)
+        calls = []
+        draw = endpoint.sampler.merged_positions
+        monkeypatch.setattr(
+            endpoint.sampler, "merged_positions",
+            lambda seeds, per_seed=False: calls.append(list(seeds)) or draw(seeds, per_seed=per_seed),
+        )
+        for index in range(6):
+            router.submit("batch", [index, index + 1, 40 + index])
+        router.submit("batch", [0, 1, 2])  # nothing new
+        router.flush()
+        # One draw per batch, for exactly the seeds the cache lacked.
+        assert calls == [[0, 1, 2, 3, 4, 5, 6, 40, 41, 42, 43, 44, 45]]
+        assert endpoint.seed_cache_misses == 13 and endpoint.seed_cache_hits == 0
+        router.query("batch", [5, 6, 7])
+        assert calls[1:] == [[7]] and endpoint.seed_cache_hits == 2
+
+        # A write kills exactly the entries whose footprint holds a written node.
+        written = np.array([3, 17, 58, 90])
+        doomed = {
+            seed for seed, entry in endpoint._seed_cache.items()
+            if np.isin(written, entry.nodes).any()
+        }
+        survivors = set(endpoint._seed_cache) - doomed
+        assert doomed and survivors
+        assert endpoint.update_features(written, np.zeros((4, DIM))) == len(doomed)
+        assert set(endpoint._seed_cache) == survivors
 
 
 class TestMultiTenantIsolation:

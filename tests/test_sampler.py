@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.frontend import CompilerOptions, compile_model
-from repro.graph import NeighborSampler, hop_gather_indices, random_hetero_graph, sample_block
+from repro.graph import HeteroGraph, NeighborSampler, hop_gather_indices, random_hetero_graph, sample_block
 from repro.models import MODEL_NAMES, REFERENCE_CLASSES
 
 DIM = 8
@@ -54,8 +54,8 @@ class TestBlockStructure:
         assert block.graph.canonical_etypes == graph.canonical_etypes
 
         # Fanout caps: per-relation in-degree within the block never exceeds
-        # the cap (the memoised per-(relation, dst) draw guarantees this even
-        # when the frontier revisits a node).
+        # the cap (a node is expanded once per merged draw, even when the
+        # frontier reaches it again).
         if fanout is not None:
             for etype, (_, dst_local) in block.graph.edges_per_relation.items():
                 if len(dst_local):
@@ -220,9 +220,9 @@ class TestPerHopBlocks:
            fanouts=st.lists(st.integers(1, 4), min_size=2, max_size=3),
            rng_seed=st.integers(0, 100))
     def test_merged_block_caps_hold_under_heterogeneous_fanouts(self, data, fanouts, rng_seed):
-        """A destination revisited at a later merged hop reuses its first
-        draw even when the hops' fanouts differ, so merged per-relation
-        in-degrees never exceed the largest configured cap."""
+        """A destination reached again at a later merged hop is not expanded
+        a second time even when the hops' fanouts differ, so merged
+        per-relation in-degrees never exceed the largest configured cap."""
         graph, seeds = data
         block = NeighborSampler(graph, fanouts=fanouts, seed=rng_seed).sample(seeds)
         cap = max(fanouts)
@@ -231,7 +231,7 @@ class TestPerHopBlocks:
                 assert np.bincount(dst_local).max() <= cap, etype
 
     def test_merged_block_equals_outermost_hop_under_uniform_fanout(self, medium_graph):
-        """Within one epoch (shared draw memo) the merged 2-hop block and the
+        """Within one epoch (same per-edge keys) the merged 2-hop block and the
         outermost per-hop block contain exactly the same edges — the basis of
         edge-for-edge per-hop vs merged work accounting."""
         sampler = NeighborSampler(medium_graph, fanouts=(3, 3), seed=4)
@@ -245,16 +245,15 @@ class TestPerHopBlocks:
 
 
 class TestEpochResampling:
-    """The draw memo is epoch-scoped: stable within an epoch, fresh across
+    """Draws are keyed by epoch: stable within an epoch, fresh across
     epochs, reproducible from the base seed."""
 
-    def test_draws_are_memoised_within_an_epoch(self, medium_graph):
+    def test_draws_repeat_within_an_epoch(self, medium_graph):
         sampler = NeighborSampler(medium_graph, fanouts=(2,), seed=0)
         seeds = np.arange(0, 40)
         first = sampler.sample(seeds)
-        hits_before = sampler.draw_hits
+        sampler.sample(np.arange(30, 90))  # other draws in between change nothing
         second = sampler.sample(seeds)
-        assert sampler.draw_hits > hits_before
         np.testing.assert_array_equal(first.node_map, second.node_map)
         for etype in medium_graph.canonical_etypes:
             for a, b in zip(first.graph.edges_per_relation[etype],
@@ -262,8 +261,9 @@ class TestEpochResampling:
                 np.testing.assert_array_equal(a, b)
 
     def test_fanout_cap_holds_across_overlapping_minibatches(self, medium_graph):
-        """Two same-epoch minibatches sharing destinations reuse one draw, so
-        the union of their blocks still respects the cap per destination."""
+        """Two same-epoch minibatches sharing destinations draw the same edges
+        for them, so the union of their blocks still respects the cap per
+        destination."""
         sampler = NeighborSampler(medium_graph, fanouts=(2,), seed=0)
         block_a = sampler.sample(np.arange(0, 30))
         block_b = sampler.sample(np.arange(15, 45))  # overlaps 15..29
@@ -271,6 +271,10 @@ class TestEpochResampling:
             for etype, (_, dst_local) in block.graph.edges_per_relation.items():
                 if len(dst_local):
                     assert np.bincount(dst_local).max() <= 2
+        union = sampler.assemble(np.arange(0, 45), np.union1d(
+            sampler.merged_positions(np.arange(0, 30)), sampler.merged_positions(np.arange(15, 45))
+        ))
+        assert union.num_edges == sampler.sample(np.arange(0, 45)).num_edges
 
     def test_resample_draws_fresh_neighborhoods(self, medium_graph):
         """Epochs must differ: without resample(), every epoch would train on
@@ -305,12 +309,173 @@ class TestEpochResampling:
                             replay.graph.edges_per_relation[etype]):
                 np.testing.assert_array_equal(a, b)
 
-    def test_draw_hit_rate_telemetry(self, medium_graph):
-        sampler = NeighborSampler(medium_graph, fanouts=(2,), seed=0)
+    def test_draw_telemetry_counts_rows_drawn_and_nodes_skipped(self):
+        # a0 -> a1 -> a2 -> a1: from seed a2, hop 1 reaches a1, hop 2 reaches
+        # a0 (new) and a2 (already expanded: the one skip), hop 3 nothing.
+        cycle = HeteroGraph(
+            {"a": 3, "b": 2},
+            {("a", "to", "a"): (np.array([0, 1, 2]), np.array([1, 2, 1])),
+             ("b", "into", "a"): (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))},
+            name="cycle",
+        )
+        sampler = NeighborSampler(cycle, fanouts=(None, None, None))
         assert sampler.draw_hit_rate == 0.0
-        sampler.sample(np.arange(0, 20))
-        sampler.sample(np.arange(0, 20))
-        assert 0.0 < sampler.draw_hit_rate <= 1.0
+        sampler.sample([2])
+        # Every expanded "a" node owns two (relation, destination) rows.
+        assert (sampler.draw_misses, sampler.draw_hits) == (6, 1)
+        assert sampler.draw_hit_rate == 1 / 7
+        sampler.sample_blocks([2])  # per-hop frontiers {2}, {1,2}, {0,1,2}: never skipped
+        assert (sampler.draw_misses, sampler.draw_hits) == (18, 1)
+
+
+def _reference_block_edges(graph, seeds, hops):
+    """Brute force: global ids of every edge within ``hops`` incoming hops of
+    ``seeds``, found one edge at a time."""
+    frontier, kept = set(np.asarray(seeds).tolist()), set()
+    for _ in range(hops):
+        reached = set()
+        for edge in range(graph.num_edges):
+            if int(graph.edge_dst[edge]) in frontier:
+                kept.add(edge)
+                reached.add(int(graph.edge_src[edge]))
+        frontier = reached
+    return sorted(kept)
+
+
+def _reference_block_graph(graph, seeds, edge_ids):
+    """The block of ``edge_ids`` through the dict constructor, relation by relation."""
+    edge_ids = np.asarray(edge_ids, dtype=np.int64)
+    nodes = set(np.asarray(seeds).tolist())
+    nodes.update(graph.edge_src[edge_ids].tolist(), graph.edge_dst[edge_ids].tolist())
+    node_map = np.array(sorted(nodes), dtype=np.int64)
+    local = {}
+    for type_id, name in enumerate(graph.node_type_names):
+        start, end = graph.node_type_offsets[type_id:type_id + 2]
+        local[name] = [node for node in node_map.tolist() if start <= node < end]
+    edges = {}
+    for relation, etype in enumerate(graph.canonical_etypes):
+        of_relation = edge_ids[graph.edge_type[edge_ids] == relation]
+        edges[etype] = (
+            np.array([local[etype[0]].index(n) for n in graph.edge_src[of_relation].tolist()], dtype=np.int64),
+            np.array([local[etype[2]].index(n) for n in graph.edge_dst[of_relation].tolist()], dtype=np.int64),
+        )
+    return node_map, HeteroGraph({name: len(ids) for name, ids in local.items()}, edges)
+
+
+def _seed_sets(graph):
+    """Seed sets of a corner graph: spread out, duplicated, and the nodes without in-edges."""
+    spread = np.arange(0, graph.num_nodes, max(1, graph.num_nodes // 7))
+    isolated = np.flatnonzero(graph.in_degrees() == 0)[:4]
+    return [spread, np.concatenate((spread[:3], spread[:3])), isolated if len(isolated) else spread[:1]]
+
+
+def _row_degrees(graph):
+    """In-degree of every non-empty (destination, relation) row of a graph."""
+    keys = graph.edge_dst * graph.num_edge_types + graph.edge_type
+    return np.unique(keys, return_counts=True)
+
+
+class TestFlatEdgeSpace:
+    """The sampler's contract in global-edge-id space, on the corner graphs."""
+
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    def test_full_fanout_blocks_equal_the_brute_force_neighborhood(self, corner_graph, hops):
+        sampler = NeighborSampler(corner_graph, fanouts=(None,) * hops)
+        for seeds in _seed_sets(corner_graph):
+            expected = _reference_block_edges(corner_graph, seeds, hops)
+            np.testing.assert_array_equal(sampler.merged_positions(seeds), expected)
+            node_map, reference = _reference_block_graph(corner_graph, seeds, expected)
+            for block in (sampler.sample(seeds), sampler.sample_blocks(seeds)[0]):
+                np.testing.assert_array_equal(block.node_map, node_map)
+                np.testing.assert_array_equal(block.node_map[block.seed_positions], seeds)
+                for name in ("edge_src", "edge_dst", "edge_type", "node_type_offsets"):
+                    np.testing.assert_array_equal(getattr(block.graph, name), getattr(reference, name))
+                assert block.graph.canonical_etypes == corner_graph.canonical_etypes
+
+    @pytest.mark.parametrize("fanouts", [(1,), (2, 1), (3, 1, 2)])
+    def test_rows_respect_the_cap_of_the_hop_that_drew_them(self, corner_graph, fanouts):
+        sampler = NeighborSampler(corner_graph, fanouts=fanouts, seed=3)
+        for seeds in _seed_sets(corner_graph):
+            for block, fanout in zip(sampler.sample_blocks(seeds), reversed(fanouts)):
+                _, degrees = _row_degrees(block.graph)
+                assert not len(degrees) or degrees.max() <= fanout
+            # Merged: a node is expanded at the hop that first reaches it
+            # (its distance from the seeds along kept edges), under that cap.
+            merged = sampler.sample(seeds)
+            distance = np.full(merged.num_nodes, len(fanouts))
+            distance[merged.seed_positions] = 0
+            for hop in range(1, len(fanouts)):
+                at_hop = merged.graph.edge_src[distance[merged.graph.edge_dst] == hop - 1]
+                distance[at_hop] = np.minimum(distance[at_hop], hop)
+            rows, degrees = _row_degrees(merged.graph)
+            caps = np.array(fanouts + (0,))[distance[rows // merged.graph.num_edge_types]]
+            assert (degrees <= caps).all()
+
+    def test_a_smaller_fanout_draws_a_subset_and_a_full_row_when_it_fits(self, corner_graph):
+        seeds = np.arange(corner_graph.num_nodes)
+        full = NeighborSampler(corner_graph, fanouts=(None,), seed=1).merged_positions(seeds)
+        for fanout in (1, 2, 3):
+            small = NeighborSampler(corner_graph, fanouts=(fanout,), seed=1).merged_positions(seeds)
+            large = NeighborSampler(corner_graph, fanouts=(2 * fanout,), seed=1).merged_positions(seeds)
+            assert np.isin(small, large).all() and np.isin(large, full).all()
+            # Exactly min(degree, fanout) edges per (destination, relation) row.
+            _, degrees = _row_degrees(corner_graph)
+            assert len(small) == np.minimum(degrees, fanout).sum()
+
+    def test_every_incoming_edge_is_kept_equally_often(self):
+        graph = random_hetero_graph(num_nodes=80, num_edges=1600, num_node_types=2, num_edge_types=3, seed=7)
+        rows, degrees = _row_degrees(graph)
+        node, relation = divmod(int(rows[np.argmax(degrees)]), graph.num_edge_types)
+        incoming = np.flatnonzero((graph.edge_dst == node) & (graph.edge_type == relation))
+        degree, fanout, epochs = len(incoming), 3, 400
+        assert degree >= 8
+        sampler = NeighborSampler(graph, fanouts=(fanout,), seed=0)
+        kept = np.zeros(graph.num_edges, dtype=np.int64)
+        for epoch in range(epochs):
+            sampler.resample(epoch)
+            kept[sampler.merged_positions([node])] += 1
+        assert kept[incoming].sum() == fanout * epochs
+        share = fanout / degree
+        tolerance = 5 * np.sqrt(share * (1 - share) / epochs)
+        assert np.abs(kept[incoming] / epochs - share).max() < tolerance
+
+    @pytest.mark.parametrize("fanouts", [(None,), (2,), (2, None), (3, 1, 2)])
+    def test_a_batch_draw_is_the_one_seed_draws(self, corner_graph, fanouts):
+        """All seeds of a batch drawn in one pass: byte for byte what one
+        call per seed returns (from a sampler with a different history), and
+        the per-hop union is ``sample_blocks`` of the seed union."""
+        batch = NeighborSampler(corner_graph, fanouts=fanouts, seed=6)
+        single = NeighborSampler(corner_graph, fanouts=fanouts, seed=6)
+        single.sample(np.arange(corner_graph.num_nodes))
+        single.resample(9)
+        for sampler in (single, batch):
+            sampler.resample(4)
+        for seeds in _seed_sets(corner_graph):
+            for draw in ("merged_positions", "hop_positions"):
+                drawn = getattr(batch, draw)(seeds, per_seed=True)
+                assert len(drawn) == len(seeds)
+                for seed, (positions, nodes) in zip(seeds, drawn):
+                    alone = getattr(single, draw)([seed])
+                    as_list = lambda value: value if isinstance(value, list) else [value]
+                    assert [a.tobytes() for a in as_list(positions)] == [a.tobytes() for a in as_list(alone)]
+                    assert all(a.dtype == np.int64 for a in as_list(positions))
+                    assert nodes.tobytes() == single.positions_nodes([seed], alone).tobytes()
+            per_seed = [positions for positions, _ in batch.hop_positions(seeds, per_seed=True)]
+            union = [np.unique(np.concatenate(hop)) for hop in zip(*per_seed)]
+            for ours, theirs in zip(batch.assemble_hop_blocks(seeds, union), single.sample_blocks(seeds)):
+                assert ours.node_map.tobytes() == theirs.node_map.tobytes()
+                assert ours.graph.edge_src.tobytes() == theirs.graph.edge_src.tobytes()
+                assert ours.graph.edge_dst.tobytes() == theirs.graph.edge_dst.tobytes()
+                assert ours.graph.edge_type.tobytes() == theirs.graph.edge_type.tobytes()
+
+    def test_shard_zero_draws_the_unsharded_neighborhoods(self, corner_graph):
+        seeds = np.arange(corner_graph.num_nodes)
+        draws = {
+            shard: NeighborSampler(corner_graph, fanouts=(1, 1), seed=2, shard=shard).merged_positions(seeds)
+            for shard in (None, 0, 1)
+        }
+        np.testing.assert_array_equal(draws[None], draws[0])
+        assert corner_graph.name == "adversarial" or not np.array_equal(draws[0], draws[1])
 
 
 class TestBlockExecution:
