@@ -12,7 +12,7 @@ Three claims are gated here:
    plan-replay rate on both.
 3. **Consolidation pays** — one router hosting 3 heterogeneous endpoints
    (RGCN/RGAT/HGT, different graphs and schemas) under a single shared arena
-   budget serves a mixed 60-request stream at ≥ 1.5× the throughput of the
+   budget serves a mixed 480-request stream at ≥ 1.5× the throughput of the
    *worst* isolated single-tenant configuration, with per-request results
    bit-identical to isolation (zero cross-tenant corruption) and a non-zero
    block-cache hit rate on the hot-seed portion of the workload.
@@ -147,7 +147,9 @@ def test_three_tenant_consolidation_beats_worst_isolated_engine():
     """Acceptance gate: the multi-tenant router consolidation claim (3.)."""
     from repro.evaluation.multitenant_study import multitenant_rows, multitenant_study
 
-    study = multitenant_study(num_requests=60)
+    # 160 requests per tenant: 20 are three batches each, a few ms in all, and
+    # one slow batch moves the speedup between 1.35x and 1.9x from run to run.
+    study = multitenant_study(num_requests=480)
     print()
     print(format_table(
         multitenant_rows(study),
@@ -205,20 +207,26 @@ def test_four_workers_double_throughput_with_bit_identical_results():
     graphs = tenant_graphs()
     modules = compile_tenants(graphs)
     stream = mixed_stream(graphs, 96, seed=17)  # burst: every lane contended
-    served = {}
-    metrics = {}
-    for workers in (1, 4):
-        router = build_router(modules, graphs, num_workers=workers)
-        router.serve(stream, timer=time.thread_time)
-        served[workers] = router.last_served
-        metrics[workers] = router.last_serve_metrics
+    # The whole stream is ~9 ms of service on one worker and ~3 ms on four,
+    # so one preempted batch moves a single reading by a third (2.0x-3.6x over
+    # repeated runs); the gate reads the median of three pairs.
+    speedups = []
+    for _ in range(3):
+        served = {}
+        metrics = {}
+        for workers in (1, 4):
+            router = build_router(modules, graphs, num_workers=workers)
+            router.serve(stream, timer=time.thread_time)
+            served[workers] = router.last_served
+            metrics[workers] = router.last_serve_metrics
 
-    assert len(served[1]) == len(served[4]) == len(stream)
-    for single, pooled in zip(served[1], served[4]):
-        assert single.result is not None and pooled.result is not None
-        np.testing.assert_array_equal(single.result, pooled.result)
+        assert len(served[1]) == len(served[4]) == len(stream)
+        for single, pooled in zip(served[1], served[4]):
+            assert single.result is not None and pooled.result is not None
+            np.testing.assert_array_equal(single.result, pooled.result)
+        speedups.append(metrics[1]["makespan_s"] / max(metrics[4]["makespan_s"], 1e-12))
 
-    speedup = metrics[1]["makespan_s"] / max(metrics[4]["makespan_s"], 1e-12)
+    speedup = sorted(speedups)[1]
     print()
     print(format_table(
         [{"workers": w, **metrics[w]} for w in (1, 4)],
@@ -237,7 +245,10 @@ def test_overload_sheds_instead_of_queueing_and_stays_fair():
     their bound, and WRR fairness ratios hold within 20%."""
     from repro.evaluation.saturation_study import saturation_rows, saturation_study
 
-    study = saturation_study()
+    # 12 deadlines of arrivals per row, not the study's 4: with ~0.7 ms batches
+    # the deadline is ~9 ms, and 4 of them give each weight-1 lane ~12 batches
+    # in the contended window — one batch either way is 8 % of a 20 % band.
+    study = saturation_study(window_deadlines=12.0)
     rows = saturation_rows(study)
     print()
     print(format_table(

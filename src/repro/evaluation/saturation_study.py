@@ -144,6 +144,12 @@ def calibrate_capacity(
     """Measure the single-worker saturation point: serve a burst (every
     request ready at t=0, no admission) and read the completion rate.
 
+    A burst is ~10 ms of service, so one host hiccup halves what it reads;
+    the fastest of three identical bursts is kept.  That errs towards
+    *over*-stating capacity, the safe side: the sweep's "2x" row is then
+    overloaded at least as much as it says, every lane stays backlogged and
+    the fairness ratio means something.
+
     Returns ``capacity_rps`` (requests per virtual second at saturation) and
     ``mean_service_s`` (mean batch service seconds) — the two numbers the
     admission policy and the sweep's offered rates are derived from.
@@ -152,16 +158,17 @@ def calibrate_capacity(
     # growth) do not inflate the calibrated capacity's denominator.
     warmup = build_router(modules, graphs, num_workers=1, seed=seed)
     warmup.serve(mixed_stream(graphs, 32, seed=seed + 99), timer=time.thread_time)
-    router = build_router(modules, graphs, num_workers=1, seed=seed)
     stream = mixed_stream(graphs, num_requests, seed=seed)
-    router.serve(stream, timer=time.thread_time)
-    metrics = router.last_serve_metrics
-    batches = sum(e.stats.num_batches for e in (router.endpoint(n) for n, _, _ in TENANTS))
-    makespan = max(metrics["makespan_s"], 1e-9)
-    return {
-        "capacity_rps": metrics["completed"] / makespan,
-        "mean_service_s": metrics["busy_s"] / max(batches, 1),
-    }
+    best: Dict[str, float] = {}
+    for _ in range(3):
+        router = build_router(modules, graphs, num_workers=1, seed=seed)
+        router.serve(stream, timer=time.thread_time)
+        metrics = router.last_serve_metrics
+        batches = sum(e.stats.num_batches for e in (router.endpoint(n) for n, _, _ in TENANTS))
+        capacity = metrics["completed"] / max(metrics["makespan_s"], 1e-9)
+        if capacity > best.get("capacity_rps", 0.0):
+            best = {"capacity_rps": capacity, "mean_service_s": metrics["busy_s"] / max(batches, 1)}
+    return best
 
 
 def fairness_ratios(completed_by_endpoint: Dict[str, int]) -> Dict[str, float]:

@@ -31,7 +31,11 @@ The module also re-specialises *per bound graph*:
 it at bind time) re-emits the codegen runs unrolled over only the *occupied*
 relations of the bound graph, memoised per occupancy signature.  A
 300-relation schema with four live relations runs four straight-line blocks
-instead of a 300-iteration launch loop per GEMM.
+instead of a 300-iteration launch loop per GEMM.  A variant costs a whole
+emit + compile (~10 ms), so it pays only on a graph that is bound for many
+calls: a module keeps at most :data:`MAX_OCCUPANCY_VARIANTS` of them, and any
+signature past that (a stream of sampled blocks has a new one every few
+batches) runs the unspecialised module.
 """
 
 from __future__ import annotations
@@ -55,6 +59,9 @@ from repro.ir.codegen.registry import BackendOptions
 ASSIGN_INTERP = "interp"
 ASSIGN_CODEGEN = "codegen"
 ASSIGN_TOKENS = (ASSIGN_INTERP, ASSIGN_CODEGEN)
+
+#: Occupancy variants one module emits and keeps; later signatures run the module itself.
+MAX_OCCUPANCY_VARIANTS = 8
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +249,8 @@ class MixedGeneratedModule:
 
         Called at bind time.  Returns ``self`` when specialisation cannot
         change the emitted source (schema unknown at compile time, mask
-        shape mismatch, or everything occupied within the unroll limit);
+        shape mismatch, or everything occupied within the unroll limit) and
+        for a new signature once :data:`MAX_OCCUPANCY_VARIANTS` are memoised;
         otherwise a memoised per-signature :class:`GeneratedModule`.
         """
         if self.num_edge_types is None or self.num_node_types is None:
@@ -261,9 +269,13 @@ class MixedGeneratedModule:
             if cached is not None:
                 self.occupancy_hits += 1
                 return cached
+            if len(self._occupancy_memo) >= MAX_OCCUPANCY_VARIANTS:
+                return self
             self.occupancy_misses += 1
         variant = self._build_variant(sig)
         with self._lock:
+            if len(self._occupancy_memo) >= MAX_OCCUPANCY_VARIANTS:  # racing builders filled it
+                return self._occupancy_memo.get(sig, variant)
             return self._occupancy_memo.setdefault(sig, variant)
 
     def _build_variant(self, sig: tuple) -> GeneratedModule:

@@ -26,6 +26,7 @@ from repro.ir.codegen.artifact_cache import (
 from repro.ir.codegen.mixed_backend import (
     ASSIGN_CODEGEN,
     ASSIGN_INTERP,
+    MAX_OCCUPANCY_VARIANTS,
     MixedGeneratedModule,
     resolve_assignment,
 )
@@ -45,13 +46,13 @@ def _graph(seed=13):
     return random_hetero_graph(24, 90, 2, 4, seed=seed)
 
 
-def _sparse_graph():
+def _sparse_graph(empty=(1, 4)):
     """Deterministic graph with empty relations (occupancy specialisation)."""
     rng = np.random.default_rng(5)
     edges = {}
     for r in range(6):
         key = (f"nt{r % 2}", f"rel{r}", f"nt{(r + 1) % 2}")
-        if r in (1, 4):
+        if r in empty:
             edges[key] = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
         else:
             edges[key] = (rng.integers(0, 20, 30), rng.integers(0, 20, 30))
@@ -294,6 +295,38 @@ class TestOccupancySpecialisation:
                 {n: p.grad.tobytes() for n, p in module.parameters_by_name.items()},
             )
         assert results["python-interp"] == results["mixed"]
+
+    def test_variants_are_capped_and_the_overflow_runs_the_module_itself(self, isolated_cache):
+        """A stream of bound graphs with ever-new signatures (sampled blocks)
+        must not re-emit per graph: past the cap the unspecialised module runs,
+        bit-identically, and the memo stops growing."""
+        empties = [(a, b) for a in range(6) for b in range(a + 1, 6)][: MAX_OCCUPANCY_VARIANTS + 4]
+        graphs = [_sparse_graph(empty) for empty in empties]
+        rng = np.random.default_rng(7)
+        features = rng.standard_normal((graphs[0].num_nodes, 4))
+        modules = {
+            backend: compile_model(
+                "rgat", graphs[0], in_dim=4, out_dim=4,
+                options=CompilerOptions(backend=backend, emit_backward=True), seed=3,
+            )
+            for backend in ("python-interp", "mixed")
+        }
+        generated = modules["mixed"].generated
+        picked = []
+        for graph in graphs:
+            outs = {}
+            for backend, module in modules.items():
+                binding = module.bind(graph)
+                outs[backend] = binding.forward(features)[module.output_name].tobytes()
+                if backend == "mixed":
+                    picked.append(module.generated_for(binding.ctx))
+            assert outs["mixed"] == outs["python-interp"]
+        assert all(variant is not generated for variant in picked[:MAX_OCCUPANCY_VARIANTS])
+        assert all(variant is generated for variant in picked[MAX_OCCUPANCY_VARIANTS:])
+        stats = generated.occupancy_stats()
+        assert stats["variants"] == stats["misses"] == MAX_OCCUPANCY_VARIANTS
+        # A memoised signature still hits after the cap is reached.
+        assert modules["mixed"].generated_for(modules["mixed"].bind(graphs[0]).ctx) is picked[0]
 
 
 # ----------------------------------------------------------------------
