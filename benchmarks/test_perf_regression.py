@@ -115,16 +115,21 @@ _CODEGEN_CELLS = [
 ]
 
 
-def _forward_throughput(module, features, iterations, repeats=7):
-    """Best per-iteration seconds over ``repeats`` timed batches."""
-    module.forward(features)  # warm: allocate arena slots, fault in pages
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(iterations):
-            module.forward(features)
-        best = min(best, (time.perf_counter() - start) / iterations)
-    return best
+def _interleaved_forward_cpu_time(modules, features, rounds=15, iterations=50):
+    """Best per-forward ``time.thread_time`` seconds of each module.
+
+    The modules' timed batches are interleaved, so a slow stretch of the
+    shared host lands on every side.  Callers run one forward first (it warms
+    the arena and faults in pages).
+    """
+    times = dict.fromkeys(modules, float("inf"))
+    for _ in range(rounds):
+        for key, module in modules.items():
+            start = time.thread_time()
+            for _ in range(iterations):
+                module.forward(features)
+            times[key] = min(times[key], (time.thread_time() - start) / iterations)
+    return times
 
 
 @pytest.mark.smoke
@@ -157,13 +162,7 @@ def test_codegen_backend_speedup_over_interp():
         outputs = {backend: module.forward(features) for backend, module in modules.items()}  # also warms
         for name in outputs["python-interp"]:
             assert outputs["python-interp"][name].tobytes() == outputs["python-codegen"][name].tobytes()
-        times = dict.fromkeys(modules, float("inf"))
-        for _ in range(15):
-            for backend, module in modules.items():
-                start = time.thread_time()
-                for _ in range(50):
-                    module.forward(features)
-                times[backend] = min(times[backend], (time.thread_time() - start) / 50)
+        times = _interleaved_forward_cpu_time(modules, features)
         rows.append({
             "model": model,
             "graph": f"{nodes}n/{edges}e/{ntypes}nt/{etypes}et",
@@ -181,11 +180,11 @@ def test_codegen_backend_speedup_over_interp():
 def _sparse_hgt_cell(num_edge_types=300, occupied=4, nodes_per_type=48, edges_per_relation=60):
     """A dispatch-bound serving cell: many relations, few occupied.
 
-    The regime the mixed backend targets — per-relation dispatch dominates
-    because the schema is wide but the bound graph touches a handful of
-    relations.  Built by hand: ``random_hetero_graph`` guarantees at least
-    one edge per relation, and the point here is that most relations have
-    none.
+    The regime bind-time occupancy specialisation targets — per-relation
+    dispatch dominates because the schema is wide but the bound graph touches
+    a handful of relations.  Built by hand: ``random_hetero_graph`` guarantees
+    at least one edge per relation, and the point here is that most relations
+    have none.
     """
     rng = np.random.default_rng(11)
     num_nodes = {"nt0": nodes_per_type, "nt1": nodes_per_type}
@@ -205,109 +204,105 @@ def _sparse_hgt_cell(num_edge_types=300, occupied=4, nodes_per_type=48, edges_pe
 
 
 @pytest.mark.smoke
-def test_mixed_backend_beats_both_pure_backends():
-    """mixed ≥ 1.1× the better pure backend (and never below either).
+def test_occupancy_specialised_mixed_never_slower_than_codegen():
+    """``mixed`` runs 4 straight-line blocks where ``python-codegen`` loops 300 relations.
 
-    On a cell mixing numpy-bound traversal kernels with dispatch-bound GEMM
-    chains (300 relations, 4 occupied), the per-kernel split plus bind-time
-    occupancy specialisation must win over both all-or-nothing backends:
-    the pure interp and pure codegen paths both loop all 300 relations per
-    GEMM kernel, while mixed runs 4 straight-line blocks.  Bit-identity is
-    asserted before any timing — the speedup must not come from doing
-    different arithmetic.
+    On the 300-relation / 4-occupied cell both pure backends loop every
+    relation per edge-typed GEMM site; ``mixed`` emits the same source and
+    re-specialises it at bind time to the occupied relations.  Three checks:
+    bit-identity across the three backends (the saving must not come from
+    different arithmetic), the structure of the specialised source, and
+    forward CPU time never above ``python-codegen``'s (interleaved best-of-N
+    ``time.thread_time``; absolute times are ``infer_ms.*`` in
+    ``BENCH_<pr>.json``).
     """
     graph = _sparse_hgt_cell()
     dim = 8
     features = _features(graph, dim)
-    times = {}
-    outputs = {}
-    for backend in ("python-interp", "python-codegen", "mixed"):
-        options = FAST_OPTIONS.with_(backend=backend, emit_backward=False)
-        module = compile_model("hgt", graph, in_dim=dim, out_dim=dim, options=options)
-        outputs[backend] = module.forward(features)
-        times[backend] = _forward_throughput(module, features, iterations=30)
+    modules = {
+        backend: compile_model(
+            "hgt", graph, in_dim=dim, out_dim=dim,
+            options=FAST_OPTIONS.with_(backend=backend, emit_backward=False),
+        )
+        for backend in ("python-interp", "python-codegen", "mixed")
+    }
+    outputs = {backend: module.forward(features) for backend, module in modules.items()}  # also warms
     for backend in ("python-codegen", "mixed"):
         for name in outputs["python-interp"]:
             assert (
                 outputs["python-interp"][name].tobytes() == outputs[backend][name].tobytes()
             ), f"{backend} output {name} not bit-identical to python-interp"
-    best_pure = min(times["python-interp"], times["python-codegen"])
-    speedup = best_pure / times["mixed"]
+
+    base = modules["mixed"].generated.source
+    assert base == modules["python-codegen"].generated.source
+    specialised = modules["mixed"].generated_for(modules["mixed"].default_binding.ctx).source
+    runtime_loop, block = "for t in range(num_segments):", "if end > start:"
+    sites = base.count(runtime_loop)  # the edge-typed GEMM sites: 300 relations are past the unroll limit
+    assert sites > 0
+    assert specialised.count(runtime_loop) == 0
+    # The two (occupied) node types are unrolled in the base source already.
+    assert specialised.count(block) == base.count(block) + 4 * sites
+
+    del modules["python-interp"]
+    times = _interleaved_forward_cpu_time(modules, features)
     print()
     print(format_table(
         [
             {
                 "cell": "hgt 2nt×48n, 300et/4 occupied",
                 "dim": dim,
-                "interp_us": round(times["python-interp"] * 1e6, 1),
                 "codegen_us": round(times["python-codegen"] * 1e6, 1),
                 "mixed_us": round(times["mixed"] * 1e6, 1),
-                "speedup_vs_best_pure": round(speedup, 2),
+                "speedup": round(times["python-codegen"] / times["mixed"], 2),
             }
         ],
-        title="Perf regression — mixed backend vs both pure backends, forward throughput",
+        title="Perf regression — occupancy-specialised mixed vs python-codegen forward CPU time",
     ))
-    assert times["mixed"] <= times["python-interp"], (
-        f"mixed slower than python-interp: {times['mixed']*1e6:.1f}us vs "
-        f"{times['python-interp']*1e6:.1f}us"
-    )
     assert times["mixed"] <= times["python-codegen"], (
-        f"mixed slower than python-codegen: {times['mixed']*1e6:.1f}us vs "
+        f"occupancy-specialised mixed slower than python-codegen: {times['mixed']*1e6:.1f}us vs "
         f"{times['python-codegen']*1e6:.1f}us"
-    )
-    assert speedup >= 1.1, (
-        f"mixed backend regressed: {speedup:.2f}x < 1.1x over the better pure backend"
     )
 
 
 @pytest.mark.smoke
-def test_artifact_cache_warm_compile_speedup(tmp_path, monkeypatch):
-    """A warm-process compile skips generation+exec: ≥5× faster time-to-first-run.
+def test_artifact_cache_warm_compile_skips_the_emitter(tmp_path, monkeypatch):
+    """A warm-process compile loads the artifact: no emit, no store.
 
     The artifact cache persists the generated source and its compiled code
-    object keyed by compilation key × emitter fingerprint; the second
-    compile of the same (model, options, schema) in a fresh compilation
-    cache must load it instead of regenerating.
+    object keyed by compilation key × emitter fingerprint; a later compile of
+    the same (model, options, schema) with a fresh compilation cache must load
+    it instead of regenerating.  Asserted on counters — the times are
+    ``compile_cold_ms`` / ``compile_warm_ms`` in ``BENCH_<pr>.json``.
     """
+    import repro.ir.codegen.python_backend as python_backend
     from repro.ir.codegen.artifact_cache import CACHE_ENV, artifact_cache_stats
 
     monkeypatch.setenv(CACHE_ENV, str(tmp_path / "codegen"))
+    emitted = []
+    emit = python_backend.whole_plan_function
+
+    def counting_emit(name, *args):
+        emitted.append(name)
+        return emit(name, *args)
+
+    monkeypatch.setattr(python_backend, "whole_plan_function", counting_emit)
     graph = _perf_graph()
     options = CompilerOptions(
         backend="mixed", emit_backward=True, enable_compilation_cache=False
     )
 
-    start = time.perf_counter()
     module = compile_model("rgat", graph, in_dim=16, out_dim=16, options=options)
-    cold = time.perf_counter() - start
-    stats = artifact_cache_stats()
-    assert stats["stores"] >= 1 and stats["hits"] == 0
+    cold = artifact_cache_stats()
+    assert cold["stores"] >= 1 and cold["hits"] == 0
+    assert emitted == ["main_forward", "main_backward"]
 
-    warm = float("inf")
     for _ in range(5):
-        start = time.perf_counter()
         compile_model("rgat", graph, in_dim=16, out_dim=16, options=options)
-        warm = min(warm, time.perf_counter() - start)
-    stats = artifact_cache_stats()
-    assert stats["hits"] >= 5, f"warm compiles missed the artifact cache: {stats}"
-    assert module.summary()["artifact_cache"]["stores"] >= 1
-    speedup = cold / warm
-    print()
-    print(format_table(
-        [
-            {
-                "cold_ms": round(cold * 1e3, 2),
-                "warm_ms": round(warm * 1e3, 2),
-                "speedup": round(speedup, 1),
-                "hits": stats["hits"],
-                "misses": stats["misses"],
-            }
-        ],
-        title="Perf regression — artifact-cache cold vs warm compile (time-to-first-run)",
-    ))
-    assert speedup >= 5.0, (
-        f"artifact cache regressed: warm compile only {speedup:.1f}x faster than cold"
-    )
+    warm = artifact_cache_stats()
+    assert warm["hits"] >= 5, f"warm compiles missed the artifact cache: {warm}"
+    assert warm["stores"] == cold["stores"], f"warm compiles stored new artifacts: {warm}"
+    assert len(emitted) == 2, f"warm compiles ran the emitter: {emitted[2:]}"
+    assert module.summary()["artifact_cache"] == warm
 
 
 def test_cache_hits_on_repeated_compilation():

@@ -10,8 +10,6 @@ from repro.evaluation.sweep import dimension_sweep
 from repro.evaluation.arch_metrics import architectural_metrics
 from repro.evaluation.loc_metric import programming_effort_metric
 from repro.evaluation.autotune_study import AutotuneCell, autotune_rows, autotune_study
-from repro.evaluation.artifact_cache_study import artifact_cache_study
-from repro.evaluation.backend_study import backend_study
 from repro.evaluation.multitenant_study import multitenant_rows, multitenant_study
 from repro.evaluation.scaling_study import dispatch_bound_graph, scaling_rows, scaling_study
 from repro.evaluation.serving_study import serving_rows, serving_study
@@ -34,8 +32,6 @@ __all__ = [
     "AutotuneCell",
     "autotune_rows",
     "autotune_study",
-    "artifact_cache_study",
-    "backend_study",
     "multitenant_rows",
     "multitenant_study",
     "dispatch_bound_graph",

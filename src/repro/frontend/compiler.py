@@ -20,6 +20,7 @@ from typing import Callable, Dict, Optional
 from repro.frontend.cache import CompilationCache, global_compilation_cache, make_cache_key
 from repro.frontend.config import CompilerOptions
 from repro.graph.hetero_graph import HeteroGraph
+from repro.ir.codegen.artifact_cache import artifact_key_for
 from repro.ir.codegen.host import generate_host_source
 from repro.ir.codegen.python_backend import GeneratedModule
 from repro.ir.codegen.registry import BackendOptions, get_backend
@@ -124,21 +125,11 @@ def compile_program(
     plan.name = f"{program.name}_{options.label()}"
     plan.metadata["memory_planning_enabled"] = options.enable_memory_planning
     plan.metadata["backend"] = backend.name
-    workload = None
-    if graph is not None and options.backend == "mixed" and options.mixed_assignment is None:
-        # evaluation sits above frontend in the layering; import lazily.
-        from repro.evaluation.workload import WorkloadSpec
-
-        workload = WorkloadSpec.from_graph(graph, in_dim=program.in_dim, out_dim=program.out_dim)
-    from repro.ir.codegen.artifact_cache import artifact_key_for
-
     generated = backend.generate(
         plan,
         BackendOptions(
             num_edge_types=graph.num_edge_types if graph is not None else None,
             num_node_types=graph.num_node_types if graph is not None else None,
-            workload=workload,
-            mixed_assignment=options.mixed_assignment,
             artifact_key=artifact_key_for(key),
         ),
     )

@@ -65,14 +65,9 @@ class CompilerOptions:
             graph index arrays resolved to function locals.  The backend is
             part of :meth:`cache_key`, so interp and codegen artifacts never
             collide in the compilation cache, and a searchable tuner axis
-            (:class:`repro.tuner.TuningSpace`).  ``"mixed"`` selects a
-            backend per *kernel* (interp for numpy-bound traversal kernels,
-            codegen segments for dispatch-bound chains).
-        mixed_assignment: optional explicit per-kernel assignment for the
-            ``"mixed"`` backend — a tuple of ``(kernel_name, token)`` pairs
-            with tokens ``"interp"``/``"codegen"`` (the tuner's beam search
-            emits these).  Kernels not named fall back to the cost-model
-            policy.  Only valid with ``backend="mixed"``.
+            (:class:`repro.tuner.TuningSpace`).  ``"mixed"`` emits
+            ``"python-codegen"``'s source and additionally re-specialises it,
+            at bind time, to the occupied relations of each bound graph.
     """
 
     compact_materialization: bool = False
@@ -89,27 +84,12 @@ class CompilerOptions:
     fuse_elementwise: bool = False
     optimization_level: Optional[str] = None
     backend: str = "python-interp"
-    mixed_assignment: Optional[tuple] = None
 
     def __post_init__(self):
         if self.optimization_level not in (None, "auto"):
             raise ValueError(
                 f"unknown optimization_level {self.optimization_level!r}; expected None or 'auto'"
             )
-        if self.mixed_assignment is not None:
-            if self.backend != "mixed":
-                raise ValueError(
-                    "mixed_assignment is only valid with backend='mixed' "
-                    f"(got backend={self.backend!r})"
-                )
-            # Normalise JSON round-trips (lists of lists) to hashable tuples.
-            pairs = tuple((str(name), str(token)) for name, token in self.mixed_assignment)
-            bad = sorted({token for _, token in pairs if token not in ("interp", "codegen")})
-            if bad:
-                raise ValueError(
-                    f"unknown mixed_assignment tokens {bad}; use 'interp' or 'codegen'"
-                )
-            self.mixed_assignment = pairs
 
     @property
     def is_auto(self) -> bool:
@@ -200,7 +180,6 @@ class CompilerOptions:
             self.enable_memory_planning,
             self.fuse_elementwise,
             self.backend,
-            self.mixed_assignment,
         )
 
 

@@ -25,10 +25,9 @@ reference):
   dispatch program; the default runtime path.
 * ``python-codegen`` — every pass, one specialised ``main_forward`` /
   ``main_backward`` per plan; faster on the compile-once-run-many path.
-* ``mixed`` (:mod:`~repro.ir.codegen.mixed_backend`) — the selection made per
-  run of kernels (interp for numpy-bound traversal kernels, codegen for
-  dispatch-bound chains) behind one dispatcher; re-specialised per bound
-  graph on the schema's segment occupancy.
+* ``mixed`` — ``python-codegen``'s source, byte for byte, re-specialised at
+  bind time on the bound graph's segment occupancy (at most
+  ``MAX_OCCUPANCY_VARIANTS`` memoised variants per module).
 
 Print-only, outside the pipeline: ``cuda-emit``
 (:mod:`~repro.ir.codegen.cuda_backend`, CUDA-like text for inspection and the
@@ -38,7 +37,12 @@ sources persist across processes through the on-disk artifact cache
 (:mod:`~repro.ir.codegen.artifact_cache`, ``$REPRO_CODEGEN_CACHE``).
 """
 
-from repro.ir.codegen.python_backend import GeneratedModule, build_codegen_module, build_python_module
+from repro.ir.codegen.python_backend import (
+    GeneratedModule,
+    OccupancySpecialisedModule,
+    build_codegen_module,
+    build_python_module,
+)
 from repro.ir.codegen.artifact_cache import (
     artifact_cache_stats,
     artifact_key_for,
@@ -46,7 +50,6 @@ from repro.ir.codegen.artifact_cache import (
 )
 from repro.ir.codegen.cuda_backend import build_cuda_source
 from repro.ir.codegen.host import generate_host_source
-from repro.ir.codegen.mixed_backend import MixedGeneratedModule, build_mixed_module
 from repro.ir.codegen.registry import (
     Backend,
     BackendOptions,
@@ -60,14 +63,13 @@ __all__ = [
     "Backend",
     "BackendOptions",
     "GeneratedModule",
-    "MixedGeneratedModule",
+    "OccupancySpecialisedModule",
     "SourceModule",
     "artifact_cache_stats",
     "artifact_key_for",
     "available_backends",
     "build_codegen_module",
     "build_cuda_source",
-    "build_mixed_module",
     "build_python_module",
     "default_artifact_cache",
     "generate_host_source",

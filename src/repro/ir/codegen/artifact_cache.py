@@ -81,8 +81,8 @@ def artifact_key_for(cache_key: object, extra: object = None) -> str:
 
     ``cache_key`` is the :func:`repro.frontend.cache.make_cache_key` tuple
     (already a deterministic ``repr``-able value); ``extra`` distinguishes
-    artifacts that share a compilation key but not a source — e.g. the mixed
-    backend's per-kernel assignment or an occupancy signature.
+    artifacts that share a compilation key but not a source — the ``mixed``
+    backend's per-occupancy-signature variants.
     """
     payload = repr((ARTIFACT_FORMAT_VERSION, emitter_fingerprint(), cache_key, extra))
     return hashlib.sha256(payload.encode()).hexdigest()

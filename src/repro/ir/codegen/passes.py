@@ -1,8 +1,8 @@
 """IR→IR passes of the whole-plan pipeline, each bit-preserving.
 
-``python-interp`` runs none of them, ``python-codegen`` runs all of them over
-the whole plan, ``mixed`` runs them over each codegen-assigned run of kernels:
-:func:`merge_adjacent` → :func:`unroll_segments` per body →
+``python-interp`` runs none of them; ``python-codegen`` (and ``mixed``, the
+same selection re-run per bound graph's occupancy) runs all of them over the
+whole plan: :func:`merge_adjacent` → :func:`unroll_segments` per body →
 :func:`specialise_fresh_scatters` → :func:`fuse_ensure_grads` over the function.
 """
 
@@ -164,28 +164,38 @@ def _merge(group: Sequence[KernelBody], projections: bool) -> Optional[KernelBod
 # ----------------------------------------------------------------------
 # unrolling
 # ----------------------------------------------------------------------
+def live_segments(count: Optional[int], mask: Optional[tuple] = None) -> Optional[List[int]]:
+    """The relations a segment loop over ``count`` unrolls into, or ``None`` for a runtime loop.
+
+    With an occupancy ``mask``, only *occupied* relations are unrolled — even
+    past :data:`MAX_UNROLL_SEGMENTS` relations, as long as at most that many
+    are occupied — so a 300-relation schema with a handful of live relations
+    runs as a handful of straight-line blocks.  A mask that leaves more than
+    the limit occupied changes nothing: the answer is the unmasked one.
+    """
+    if mask is not None and count == len(mask) and sum(mask) <= MAX_UNROLL_SEGMENTS:
+        return [t for t in range(count) if mask[t]]
+    if count is not None and 0 < count <= MAX_UNROLL_SEGMENTS:
+        return list(range(count))
+    return None
+
+
 def unroll_segments(
     stmts: Iterable[Stmt], segments: Dict[str, Tuple[Optional[int], Optional[tuple]]]
 ) -> Tuple[Stmt, ...]:
     """Replace segment loops over a known relation count with per-relation blocks.
 
     ``segments`` maps a loop's ``count`` attribute to ``(count, occupancy
-    mask)``.  With a mask, only *occupied* relations are unrolled — even past
-    :data:`MAX_UNROLL_SEGMENTS` relations, as long as at most that many are
-    occupied — and empty ones emit nothing, so a 300-relation schema with a
-    handful of live relations runs as a handful of straight-line blocks.
+    mask)``; :func:`live_segments` decides what each loop becomes, and empty
+    relations emit nothing.
     """
     out: List[Stmt] = []
     for stmt in stmts:
         if not isinstance(stmt, SegmentLoop):
             out.append(stmt)
             continue
-        count, mask = segments.get(stmt.count, (None, None))
-        if mask is not None and count == len(mask) and sum(mask) <= MAX_UNROLL_SEGMENTS:
-            live = [t for t in range(count) if mask[t]]
-        elif count is not None and 0 < count <= MAX_UNROLL_SEGMENTS:
-            live = list(range(count))
-        else:
+        live = live_segments(*segments.get(stmt.count, (None, None)))
+        if live is None:
             out.append(stmt)
             continue
         for t in live:
@@ -197,9 +207,7 @@ def unroll_segments(
 # ----------------------------------------------------------------------
 # fresh scatters and dead zero fills
 # ----------------------------------------------------------------------
-def specialise_fresh_scatters(
-    stmts: Iterable[Stmt], outputs: Iterable[str], pre_touched: Iterable[str] = ()
-) -> List[Stmt]:
+def specialise_fresh_scatters(stmts: Iterable[Stmt], outputs: Iterable[str]) -> List[Stmt]:
     """Mark first-touch scatters ``fresh`` and drop the zero fills they make dead.
 
     A scatter whose target is known to be all-zeros — a buffer its
@@ -207,16 +215,15 @@ def specialise_fresh_scatters(
     accumulation site in program order — may assign its segment sum instead
     of adding it (bit-identical: ``0.0 + v`` is ``v``), which saves the zero
     fill and a read of the target.  Any update, scatter or rebind marks the
-    buffer touched, so later sites accumulate; ``pre_touched`` names gradient
-    buffers earlier code may already have written.  Output gradients are
-    never fresh: their seed is caller data.
+    buffer touched, so later sites accumulate.  Output gradients are never
+    fresh: their seed is caller data.
 
     A scatter inside a *runtime* :class:`SegmentLoop` is never fresh: the body
     runs once per segment, so an assignment on the second iteration would
     clobber the first's contributions.  Unrolled blocks are separate sites.
     """
     outputs = set(outputs)
-    touched = set(pre_touched)
+    touched: set = set()
     zeroed: Dict[str, Tuple[list, int]] = {}  # buffer → where its still-all-zeros Ensure sits
 
     def visit(block: Iterable[Stmt], in_loop: bool) -> List[Stmt]:

@@ -1,12 +1,12 @@
 """The one printer: statement IR → Python/numpy source, under a naming policy.
 
-* **per-kernel** (``python-interp``, interp-assigned kernels of ``mixed``) —
-  one ``kernel_<name>(env, ctx)`` function per kernel: buffers are
-  ``env['x']``, graph arrays ``ctx.attr``, ensures call the imported helpers
-  (the only output helper zero-fills, so an ``Ensure(zero=False)`` is filled
-  all the same — unobservable, and it keeps this policy to one helper).
-* **whole-plan** (``python-codegen``, codegen runs of ``mixed``) — one
-  function over many kernel bodies:
+* **per-kernel** (``python-interp``) — one ``kernel_<name>(env, ctx)``
+  function per kernel: buffers are ``env['x']``, graph arrays ``ctx.attr``,
+  ensures call the imported helpers (the only output helper zero-fills, so an
+  ``Ensure(zero=False)`` is filled all the same — unobservable, and it keeps
+  this policy to one helper).
+* **whole-plan** (``python-codegen``, ``mixed``) — one function over many
+  kernel bodies:
 
   - every graph index array is a ``_c_<attr>`` local bound once per call,
     segment pointers are ``_s_<attr>`` Python *lists* (indexing an ndarray

@@ -1,6 +1,6 @@
-"""The ``python-interp`` and ``python-codegen`` backends: two selections over the pipeline.
+"""The ``python-interp``, ``python-codegen`` and ``mixed`` backends: selections over the pipeline.
 
-Both build each kernel's statements with :mod:`repro.ir.codegen.builder` and
+All build each kernel's statements with :mod:`repro.ir.codegen.builder` and
 print them with :mod:`repro.ir.codegen.printer`; they differ in what they
 select (the package docstring has the overview).  The emitted source is
 compiled with :func:`exec` and wrapped in a :class:`GeneratedModule`; the
@@ -10,18 +10,30 @@ generated.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.ir.intra_op.kernels import KernelInstance
 from repro.ir.intra_op.plan import KernelPlan
 
-from repro.ir.codegen.artifact_cache import load_source
+from repro.ir.codegen.artifact_cache import artifact_key_for, load_source
 from repro.ir.codegen.builder import build_kernel
-from repro.ir.codegen.passes import fuse_ensure_grads, merge_adjacent, specialise_fresh_scatters, unroll_segments
+from repro.ir.codegen.passes import (
+    fuse_ensure_grads,
+    live_segments,
+    merge_adjacent,
+    specialise_fresh_scatters,
+    unroll_segments,
+)
 from repro.ir.codegen.printer import join_module, print_dispatcher, print_function
 from repro.ir.codegen.registry import BackendOptions
 from repro.ir.codegen.stmt import Raw, Stmt
+
+#: Occupancy variants one ``mixed`` module emits and keeps; later signatures run the module itself.
+MAX_OCCUPANCY_VARIANTS = 8
 
 
 @dataclass
@@ -71,7 +83,6 @@ def whole_plan_function(
     num_edge_types: Optional[int] = None,
     num_node_types: Optional[int] = None,
     occupancy: Optional[tuple] = None,
-    pre_touched: Iterable[str] = (),
 ) -> str:
     """One function running ``kernels`` inlined in plan order, every pass applied.
 
@@ -82,9 +93,6 @@ def whole_plan_function(
             ``None`` (no graph at compile time) keeps runtime loops.
         occupancy: ``(edge_mask, node_mask)`` bool tuples of a bound graph;
             only occupied relations are unrolled, empty ones cost nothing.
-        pre_touched: gradient buffers that code running *before* this function
-            may already have written (the mixed backend's earlier runs), which
-            fresh-scatter specialisation must not treat as all-zeros.
     """
     specialised = "schema-unrolled" if num_edge_types is not None else "runtime-looped"
     doc = f"Whole-plan {direction} of {plan.name}: {len(kernels)} kernels inlined, {specialised}."
@@ -94,12 +102,12 @@ def whole_plan_function(
     for body in merge_adjacent([build_kernel(kernel) for kernel in kernels]):
         stmts.append(Raw((f"# ---- {body.name}: {body.doc} ----",)))
         stmts += unroll_segments(body.stmts, segments)
-    stmts = fuse_ensure_grads(specialise_fresh_scatters(stmts, plan.output_names, pre_touched))
+    stmts = fuse_ensure_grads(specialise_fresh_scatters(stmts, plan.output_names))
     return print_function(name, doc, stmts, whole_plan=True, lazy_gradients=direction == "backward")
 
 
 # ----------------------------------------------------------------------
-# python-interp and python-codegen
+# python-interp, python-codegen and mixed
 # ----------------------------------------------------------------------
 def build_python_module(plan: KernelPlan) -> GeneratedModule:
     """Per-kernel functions plus a fused dispatch program (the ``python-interp`` registrant)."""
@@ -122,14 +130,18 @@ def build_python_module(plan: KernelPlan) -> GeneratedModule:
     )
 
 
-def build_codegen_module(plan: KernelPlan, options: BackendOptions) -> GeneratedModule:
+def build_codegen_module(
+    plan: KernelPlan, options: BackendOptions, occupancy: Optional[tuple] = None
+) -> GeneratedModule:
     """Whole-plan ``main_forward``/``main_backward`` (the ``python-codegen`` registrant).
 
-    Reads the schema's relation counts and the artifact key from ``options``.
+    Reads the schema's relation counts and the artifact key from ``options``;
+    ``occupancy`` (see :func:`whole_plan_function`) specialises the source to
+    one bound graph and is folded into the artifact key.
     """
 
     def generate() -> str:
-        schema = (plan, options.num_edge_types, options.num_node_types)
+        schema = (plan, options.num_edge_types, options.num_node_types, occupancy)
         return join_module(
             [
                 whole_plan_function("main_forward", "forward", plan.forward_kernels, *schema),
@@ -137,5 +149,71 @@ def build_codegen_module(plan: KernelPlan, options: BackendOptions) -> Generated
             ]
         )
 
-    source, namespace = load_source(options.artifact_key, f"<hector-codegen:{plan.name}>", generate)
+    key = options.artifact_key
+    if key is not None and occupancy is not None:
+        key = artifact_key_for(key, ("occupancy", occupancy))
+    source, namespace = load_source(key, f"<hector-codegen:{plan.name}>", generate)
     return GeneratedModule(source, {}, {}, namespace["main_forward"], namespace["main_backward"], seeds_gradients=True)
+
+
+class OccupancySpecialisedModule(GeneratedModule):
+    """The ``python-codegen`` module plus bind-time occupancy specialisation (the ``mixed`` registrant).
+
+    The module itself is exactly what :func:`build_codegen_module` returns.
+    :meth:`specialise_for_occupancy` (``GraphBinding`` calls it at bind time)
+    re-emits it unrolled over only the *occupied* relations of the bound
+    graph, memoised per occupancy signature: a 300-relation schema with four
+    live relations runs four straight-line blocks instead of a 300-iteration
+    launch loop per GEMM.  A variant costs a whole emit + compile (~10 ms), so
+    it pays only on a graph that is bound for many calls: a module keeps at
+    most :data:`MAX_OCCUPANCY_VARIANTS` of them, and any signature past that
+    (a stream of sampled blocks has a new one every few batches) runs the
+    unspecialised module.
+    """
+
+    def __init__(self, plan: KernelPlan, options: BackendOptions):
+        super().__init__(**vars(build_codegen_module(plan, options)))
+        self.plan = plan
+        self.options = options
+        self._lock = threading.Lock()
+        self._occupancy_memo: Dict[tuple, GeneratedModule] = {}
+        self.occupancy_hits = 0
+        self.occupancy_misses = 0
+
+    def occupancy_stats(self) -> Dict[str, int]:
+        with self._lock:
+            return {
+                "hits": self.occupancy_hits,
+                "misses": self.occupancy_misses,
+                "variants": len(self._occupancy_memo),
+            }
+
+    def specialise_for_occupancy(self, ctx) -> GeneratedModule:
+        """The variant of this module specialised to ``ctx``'s occupancy.
+
+        Called at bind time.  Returns ``self`` when no segment loop would
+        print differently (schema unknown at compile time, mask shape
+        mismatch, everything occupied within the unroll limit, or more than
+        the limit occupied) and for a new signature once
+        :data:`MAX_OCCUPANCY_VARIANTS` are memoised; otherwise a memoised
+        per-signature :class:`GeneratedModule`.
+        """
+        # Which relations / node types hold any rows.  Compact-space segment pointers share
+        # the edge mask: a relation has unique (source, type) pairs iff it has edges.
+        sig = tuple(tuple((np.diff(ptr) > 0).tolist()) for ptr in (ctx.etype_ptr, ctx.ntype_ptr))
+        counts = (self.options.num_edge_types, self.options.num_node_types)
+        if all(live_segments(count, mask) == live_segments(count) for count, mask in zip(counts, sig)):
+            return self
+        with self._lock:
+            cached = self._occupancy_memo.get(sig)
+            if cached is not None:
+                self.occupancy_hits += 1
+                return cached
+            if len(self._occupancy_memo) >= MAX_OCCUPANCY_VARIANTS:
+                return self
+            self.occupancy_misses += 1
+        variant = build_codegen_module(self.plan, self.options, sig)
+        with self._lock:
+            if len(self._occupancy_memo) >= MAX_OCCUPANCY_VARIANTS:  # racing builders filled it
+                return self._occupancy_memo.get(sig, variant)
+            return self._occupancy_memo.setdefault(sig, variant)

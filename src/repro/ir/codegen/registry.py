@@ -10,9 +10,10 @@ the style of gt4py's ``BaseBackend`` + ``register`` pattern:
 * :func:`register_backend` / :func:`get_backend` / :func:`available_backends`
   — the registry surface, re-exported from :mod:`repro`.
 
-Registered on import: ``python-interp``, ``python-codegen`` and ``mixed`` —
-three selections over the one builder → passes → printer pipeline (see
-:mod:`repro.ir.codegen`) — and the print-only ``cuda-emit``.
+Registered on import: ``python-interp``, ``python-codegen`` and ``mixed``
+(``python-codegen``'s source, re-specialised per bound graph) — selections
+over the one builder → passes → printer pipeline (see :mod:`repro.ir.codegen`)
+— and the print-only ``cuda-emit``.
 
 A new executing target (numba, C via ctypes, …) is a further registrant — and,
 over the same statement IR, a second printer rather than another emitter:
@@ -41,12 +42,6 @@ class BackendOptions:
             codegen backend unrolls its per-relation launch loops); the cache
             key already includes the schema fingerprint, so schema-specialised
             artifacts never leak across schemas.
-        workload: optional :class:`~repro.evaluation.workload.WorkloadSpec`
-            of the compile-time graph; the mixed backend prices kernels with
-            it to choose per-kernel executors.
-        mixed_assignment: explicit per-kernel ``(name, "interp"|"codegen")``
-            overrides (``CompilerOptions.mixed_assignment``) for the mixed
-            backend; other backends ignore it.
         artifact_key: persistent artifact-cache key derived from the
             compilation-cache key (:func:`repro.ir.codegen.artifact_cache.
             artifact_key_for`); backends that generate-and-``exec`` use it to
@@ -55,8 +50,6 @@ class BackendOptions:
 
     num_edge_types: Optional[int] = None
     num_node_types: Optional[int] = None
-    workload: Optional[object] = None
-    mixed_assignment: Optional[tuple] = None
     artifact_key: Optional[str] = None
 
 
@@ -174,7 +167,7 @@ class PythonCodegenBackend(Backend):
 
 
 class MixedBackend(Backend):
-    """Per-kernel interp/codegen selection behind one generated dispatcher."""
+    """``python-codegen``'s whole-plan source, re-specialised per bound graph's occupancy."""
 
     name = "mixed"
     executes = True
@@ -182,9 +175,9 @@ class MixedBackend(Backend):
     supports_training = True
 
     def generate(self, plan: KernelPlan, options: Optional[BackendOptions] = None):
-        from repro.ir.codegen.mixed_backend import build_mixed_module
+        from repro.ir.codegen.python_backend import OccupancySpecialisedModule
 
-        return build_mixed_module(plan, options or BackendOptions())
+        return OccupancySpecialisedModule(plan, options or BackendOptions())
 
 
 class CudaEmitBackend(Backend):

@@ -276,9 +276,8 @@ class CompiledRGNNModule:
         """Plan summary plus parameter count (for reports and tests).
 
         Backend telemetry rides along: the persistent artifact cache's
-        hit/miss counters (process-wide), and — for mixed-backend modules —
-        the per-kernel assignment counts and the occupancy-respecialisation
-        memo counters.
+        hit/miss counters (process-wide), and — for ``mixed``-backend modules
+        — the occupancy-respecialisation memo counters.
         """
         from repro.ir.codegen.artifact_cache import artifact_cache_stats
 
@@ -289,9 +288,6 @@ class CompiledRGNNModule:
             self._default_binding.graph.name if self._default_binding is not None else str(self.schema)
         )
         info["artifact_cache"] = artifact_cache_stats()
-        assignment_counts = getattr(self.generated, "assignment_counts", None)
-        if assignment_counts is not None:
-            info["mixed_assignment"] = assignment_counts()
         occupancy_stats = getattr(self.generated, "occupancy_stats", None)
         if occupancy_stats is not None:
             info["occupancy"] = occupancy_stats()

@@ -17,7 +17,6 @@ Entry points:
 * :func:`search_design_space` — one raw search, no database involvement.
 """
 
-from repro.tuner.assignment import beam_search_assignment
 from repro.tuner.autotuner import (
     SEARCH_STRATEGIES,
     TUNED_FIELDS,
@@ -51,7 +50,6 @@ __all__ = [
     "TuningSpace",
     "TuningDatabase",
     "TuningRecord",
-    "beam_search_assignment",
     "DB_PATH_ENV",
     "clear_search_compile_cache",
     "clear_tuning_database",

@@ -66,7 +66,6 @@ TUNED_FIELDS = (
     "traversal_rows_per_block",
     "traversal_partial_aggregation",
     "backend",
-    "mixed_assignment",
 )
 
 
@@ -145,17 +144,6 @@ def evaluate_candidate(
     """
     training = mode == "training"
     result = compile_program(program, options, cache=cache)
-    if options.backend == "mixed" and options.mixed_assignment is None:
-        # Make the per-kernel choice explicit on the candidate: the beam
-        # search (seeded from the same cost model) picks kernel → backend,
-        # and the winning options — including a tuning-database replay —
-        # then carry the assignment instead of re-deriving it at compile
-        # time from whatever graph happens to be bound.
-        from repro.tuner.assignment import beam_search_assignment
-
-        assignment = beam_search_assignment(result.plan, workload, device=device)
-        options = options.with_(mixed_assignment=assignment)
-        result = compile_program(program, options, cache=cache)
     memory = result.plan.memory_bytes(workload, training=training)
     if memory > device.memory_bytes:
         return CandidateEvaluation(

@@ -30,7 +30,8 @@ from repro.frontend.config import CompilerOptions
 DB_PATH_ENV = "REPRO_TUNING_DB"
 
 #: Bumped whenever the record layout changes; older files are ignored.
-DB_FORMAT_VERSION = 1
+#: 2: the ``mixed`` backend's per-kernel assignment left the stored option dicts.
+DB_FORMAT_VERSION = 2
 
 
 def default_db_path() -> Path:

@@ -47,9 +47,9 @@ class TuningSpace:
             base options' backend, which is always emitted first.  Every name
             is validated against the registry at construction time — a typo
             fails here with the available names, not deep inside a search.
-            Mixed-backend candidates additionally carry a per-kernel
-            assignment derived by the beam search in
-            :mod:`repro.tuner.assignment` during evaluation.
+            ``"mixed"`` is not in the default axis: it shares
+            ``"python-codegen"``'s source and estimate, so it could only ever
+            win a search it is the base of (where it leads regardless).
     """
 
     compact_materialization: Tuple[bool, ...] = (False, True)
@@ -59,7 +59,7 @@ class TuningSpace:
     gemm_coarsening: Tuple[int, ...] = ALLOWED_COARSENING
     traversal_rows_per_block: Tuple[int, ...] = TRAVERSAL_ROWS_CANDIDATES
     traversal_partial_aggregation: Tuple[bool, ...] = (True, False)
-    backends: Tuple[str, ...] = ("python-interp", "python-codegen", "mixed")
+    backends: Tuple[str, ...] = ("python-interp", "python-codegen")
 
     def __post_init__(self):
         registered = available_backends()
@@ -115,11 +115,6 @@ class TuningSpace:
                                 linear_operator_reordering=reorder,
                                 fuse_elementwise=fuse,
                                 backend=backend,
-                                # a per-kernel assignment is only meaningful
-                                # on the backend it was derived for
-                                mixed_assignment=(
-                                    base.mixed_assignment if backend == "mixed" else None
-                                ),
                                 optimization_level=None,
                             )
                         )

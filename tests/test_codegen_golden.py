@@ -76,8 +76,8 @@ def test_occupancy_specialised_mixed_snapshot(rgat_program, update_golden):
 
     A deterministic six-relation schema with two empty relations, compiled
     with ``backend="mixed"`` and respecialised at bind time: the snapshot
-    locks the per-kernel interp/codegen split, the segment dispatchers, and
-    the occupancy-masked unrolls (empty relations emit no block at all).
+    locks the whole-plan functions with their occupancy-masked unrolls (empty
+    relations emit no block at all).
     """
     import numpy as np
 

@@ -4,11 +4,12 @@ The two text goldens under ``tests/golden/*_codegen.py`` cover RGAT only.
 This matrix pins the emitted source of rgcn / rgat / hgt across every
 emitter path — per-kernel interp functions, the whole-plan function without
 a schema (runtime loops), on a 6-relation schema (unrolled) and on a
-40-relation schema (past the unroll limit), and the mixed dispatcher with
-its default assignment, a forced all-interp forward, and an occupancy
-specialisation of a sparse 40-relation graph — in inference and training
-mode under three pass configurations.  HGT's merged K/Q/V loop and the
->32-relation path have no other text lockdown.
+40-relation schema (past the unroll limit), and the ``mixed`` backend's
+occupancy specialisation of a sparse 40-relation graph — in inference and
+training mode under three pass configurations.  Before specialisation
+``mixed`` must emit ``python-codegen``'s source, asserted on every codegen
+cell.  HGT's merged K/Q/V loop and the >32-relation path have no other text
+lockdown.
 
 A digest mismatch means the emitted text changed.  Refresh intentionally with
 ``pytest tests/test_emitter_digests.py --update-golden`` and say why in the PR.
@@ -60,12 +61,10 @@ def _source(program, variant: str, graphs, **option_fields) -> str:
     backend = {"interp": "python-interp", "codegen": "python-codegen"}.get(variant.split("_")[0], "mixed")
     graph = graphs.get(variant)
     options = CompilerOptions(backend=backend, enable_compilation_cache=False, **option_fields)
-    if variant == "mixed_interp_forward":
-        plan = compile_program(program, options.with_(backend="python-interp")).plan
-        options = options.with_(
-            mixed_assignment=tuple((kernel.name, "interp") for kernel in plan.forward_kernels)
-        )
     generated = compile_program(program, options, graph=graph).generated
+    if backend == "python-codegen":
+        mixed = compile_program(program, options.with_(backend="mixed"), graph=graph).generated
+        assert mixed.source == generated.source, f"{variant}: mixed must emit python-codegen's source"
     if variant == "mixed_occupancy":
         specialised = generated.specialise_for_occupancy(GraphContext.from_graph(graph))
         assert specialised is not generated, "sparse occupancy must specialise"
@@ -80,8 +79,6 @@ def emitter_cells():
     graphs = {
         "codegen_6rel": six,
         "codegen_40rel": forty,
-        "mixed_default": six,
-        "mixed_interp_forward": six,
         "mixed_occupancy": _sparse_graph_40(),
     }
     variants = ("interp", "codegen_nograph") + tuple(graphs)
@@ -103,7 +100,7 @@ def test_emitted_sources_match_digests(update_golden, tmp_path, monkeypatch):
         # Segments are contiguous row ranges and every scatter is the shared helper.
         for text in _NEVER_EMITTED:
             assert text not in source, f"{key}: emitted source contains {text!r}"
-    assert len(digests) == len(MODELS) * 7 * len(MODES) * len(CONFIGS)
+    assert len(digests) == len(MODELS) * 5 * len(MODES) * len(CONFIGS)
     if update_golden:
         DIGEST_PATH.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
         return

@@ -2,9 +2,9 @@
 
 Tier-1 (unmarked): the differential sweep in ``test_property_compiled.py``
 locks bit-identity across the full configuration matrix; these tests cover
-the machinery itself — assignment resolution, occupancy memoisation,
-artifact-cache corruption handling, option validation, and the beam search —
-on small deterministic inputs.
+the machinery itself — source identity with ``python-codegen``, occupancy
+memoisation, artifact-cache corruption handling and registry / tuning-space
+validation — on small deterministic inputs.
 """
 
 import json
@@ -23,16 +23,10 @@ from repro.ir.codegen.artifact_cache import (
     artifact_key_for,
     default_artifact_cache,
 )
-from repro.ir.codegen.mixed_backend import (
-    ASSIGN_CODEGEN,
-    ASSIGN_INTERP,
-    MAX_OCCUPANCY_VARIANTS,
-    MixedGeneratedModule,
-    resolve_assignment,
-)
+from repro.ir.codegen.python_backend import MAX_OCCUPANCY_VARIANTS, OccupancySpecialisedModule
 from repro.ir.codegen.registry import available_backends
 from repro.models import build_program
-from repro.tuner import TuningSpace, beam_search_assignment
+from repro.tuner import TuningSpace
 
 
 @pytest.fixture
@@ -46,11 +40,11 @@ def _graph(seed=13):
     return random_hetero_graph(24, 90, 2, 4, seed=seed)
 
 
-def _sparse_graph(empty=(1, 4)):
+def _sparse_graph(empty=(1, 4), relations=6):
     """Deterministic graph with empty relations (occupancy specialisation)."""
     rng = np.random.default_rng(5)
     edges = {}
-    for r in range(6):
+    for r in range(relations):
         key = (f"nt{r % 2}", f"rel{r}", f"nt{(r + 1) % 2}")
         if r in empty:
             edges[key] = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
@@ -166,79 +160,39 @@ class TestValidation:
         with pytest.raises(ValueError, match="cuda-emit"):
             TuningSpace(backends=("cuda-emit",))
 
-    def test_mixed_assignment_requires_mixed_backend(self):
-        with pytest.raises(ValueError, match="backend='mixed'"):
-            CompilerOptions(backend="python-interp", mixed_assignment=(("k", "interp"),))
-
-    def test_mixed_assignment_rejects_bad_tokens(self):
-        with pytest.raises(ValueError, match="turbo"):
-            CompilerOptions(backend="mixed", mixed_assignment=(("k", "turbo"),))
-
-    def test_mixed_assignment_json_round_trip(self):
-        options = CompilerOptions(
-            backend="mixed", mixed_assignment=(("gemm_1", "codegen"), ("t_1", "interp"))
-        )
-        restored = CompilerOptions.from_dict(json.loads(json.dumps(options.to_dict())))
-        assert restored.mixed_assignment == options.mixed_assignment
-        assert restored.cache_key() == options.cache_key()
-
-    def test_mixed_assignment_changes_cache_key(self):
-        base = CompilerOptions(backend="mixed")
-        assigned = CompilerOptions(backend="mixed", mixed_assignment=(("k", "interp"),))
-        assert base.cache_key() != assigned.cache_key()
-
-    def test_resolve_assignment_rejects_unknown_kernels(self):
-        program = build_program("rgcn", in_dim=4, out_dim=4)
-        result = compile_program(program, _mixed_options(), graph=_graph())
-        with pytest.raises(ValueError, match="no_such_kernel"):
-            resolve_assignment(result.plan, explicit=(("no_such_kernel", "interp"),))
+    def test_mixed_is_searched_only_as_the_base_backend(self):
+        """It shares python-codegen's source and estimate, so it can never win a search it does not lead."""
+        backends = {options.backend for options in TuningSpace().pass_candidates()}
+        assert backends == {"python-interp", "python-codegen"}
+        led = TuningSpace().pass_candidates(_mixed_options())
+        assert led[0].backend == "mixed"
 
 
 # ----------------------------------------------------------------------
 # Mixed generation
 # ----------------------------------------------------------------------
 class TestMixedGeneration:
-    def test_explicit_assignment_shapes_the_source(self, isolated_cache):
-        program = build_program("rgcn", in_dim=4, out_dim=4)
-        graph = _graph()
-        result = compile_program(
-            program, _mixed_options(enable_compilation_cache=False), graph=graph
-        )
-        forward_names = [k.name for k in result.plan.forward_kernels]
-        backward_names = [k.name for k in result.plan.backward_kernels]
-        assignment = tuple((n, "interp") for n in forward_names) + tuple(
-            (n, "codegen") for n in backward_names
-        )
-        forced = compile_program(
-            program,
-            _mixed_options(enable_compilation_cache=False, mixed_assignment=assignment),
-            graph=graph,
-        )
-        source = forced.generated.source
-        for name in forward_names:
-            assert f"def kernel_{name}(" in source
-        assert "_seg_backward_0" in source
-        assert "_seg_forward_" not in source
-
-    def test_no_workload_default_keeps_traversal_on_interp(self, isolated_cache):
-        program = build_program("rgat", in_dim=4, out_dim=4)
-        # No graph → no workload → structural default assignment.
-        result = compile_program(program, _mixed_options(enable_compilation_cache=False))
-        module = result.generated
-        assert isinstance(module, MixedGeneratedModule)
-        for kernel in module.plan.forward_kernels:
-            expected = ASSIGN_INTERP if kernel.category == "traversal" else ASSIGN_CODEGEN
-            assert module.assignment[kernel.name] == expected
+    @pytest.mark.parametrize("model", ["rgcn", "rgat", "hgt"])
+    @pytest.mark.parametrize("with_graph", [False, True])
+    def test_emits_the_python_codegen_source(self, isolated_cache, model, with_graph):
+        program = build_program(model, in_dim=4, out_dim=4)
+        graph = _graph() if with_graph else None
+        generated = {
+            backend: compile_program(
+                program, CompilerOptions(backend=backend, enable_compilation_cache=False), graph=graph
+            ).generated
+            for backend in ("python-codegen", "mixed")
+        }
+        assert isinstance(generated["mixed"], OccupancySpecialisedModule)
+        assert generated["mixed"].source == generated["python-codegen"].source
+        assert generated["mixed"].seeds_gradients and generated["python-codegen"].seeds_gradients
 
     def test_summary_surfaces_mixed_telemetry(self, isolated_cache):
         graph = _graph()
         module = compile_model("rgcn", graph, in_dim=4, out_dim=4, options=_mixed_options())
         info = module.summary()
         assert set(info["artifact_cache"]) == {"hits", "misses", "stores", "errors"}
-        counts = info["mixed_assignment"]
-        assert counts[ASSIGN_CODEGEN] + counts[ASSIGN_INTERP] == len(
-            list(module.plan.forward_kernels) + list(module.plan.backward_kernels)
-        )
+        assert "mixed_assignment" not in info
         assert set(info["occupancy"]) == {"hits", "misses", "variants"}
 
 
@@ -275,6 +229,17 @@ class TestOccupancySpecialisation:
         module = compile_model("rgat", graph, in_dim=4, out_dim=4, options=_mixed_options())
         binding = module.bind(graph)
         assert module.generated_for(binding.ctx) is module.generated
+
+    @pytest.mark.parametrize("empty", [(), tuple(range(0, 48, 6))], ids=["48-of-48", "40-of-48"])
+    def test_no_variant_when_nothing_would_unroll_differently(self, isolated_cache, empty):
+        """More than ``MAX_UNROLL_SEGMENTS`` occupied relations keep the runtime
+        loops, so a "variant" would be the base source again: it must cost no
+        emit and no memo slot."""
+        graph = _sparse_graph(empty, relations=48)
+        module = compile_model("rgat", graph, in_dim=4, out_dim=4, options=_mixed_options())
+        assert module.generated_for(module.bind(graph).ctx) is module.generated
+        stats = module.generated.occupancy_stats()
+        assert stats["variants"] == 0 and stats["misses"] == 0
 
     def test_specialised_results_bit_identical(self, isolated_cache):
         graph = _sparse_graph()
@@ -353,42 +318,3 @@ class TestRuntimeLoopBackward:
             grads[backend] = {k: v.tobytes() for k, v in binding.input_gradients().items()}
         assert grads["python-codegen"] == grads["python-interp"]
         assert grads["mixed"] == grads["python-interp"]
-
-
-# ----------------------------------------------------------------------
-# Beam search
-# ----------------------------------------------------------------------
-class TestBeamSearch:
-    def _plan_and_workload(self):
-        from repro.evaluation.workload import WorkloadSpec
-
-        program = build_program("rgat", in_dim=4, out_dim=4)
-        graph = _graph()
-        result = compile_program(program, _mixed_options(), graph=graph)
-        return result.plan, WorkloadSpec.from_graph(graph, in_dim=4, out_dim=4)
-
-    def test_deterministic_and_covers_every_kernel(self):
-        plan, workload = self._plan_and_workload()
-        first = beam_search_assignment(plan, workload)
-        second = beam_search_assignment(plan, workload)
-        assert first == second
-        names = {k.name for k in list(plan.forward_kernels) + list(plan.backward_kernels)}
-        assert {name for name, _ in first} == names
-        assert all(token in (ASSIGN_INTERP, ASSIGN_CODEGEN) for _, token in first)
-
-    def test_gemm_kernels_always_assigned_codegen(self):
-        plan, workload = self._plan_and_workload()
-        assignment = dict(beam_search_assignment(plan, workload))
-        for kernel in list(plan.forward_kernels) + list(plan.backward_kernels):
-            if kernel.category == "gemm":
-                assert assignment[kernel.name] == ASSIGN_CODEGEN
-
-    def test_assignment_is_valid_compiler_options_input(self, isolated_cache):
-        plan, workload = self._plan_and_workload()
-        assignment = beam_search_assignment(plan, workload)
-        options = _mixed_options(mixed_assignment=assignment)
-        graph = _graph()
-        module = compile_model("rgat", graph, in_dim=4, out_dim=4, options=options)
-        rng = np.random.default_rng(2)
-        out = module.forward(rng.standard_normal((graph.num_nodes, 4)))
-        assert all(np.isfinite(v).all() for v in out.values())

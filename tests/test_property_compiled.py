@@ -185,9 +185,8 @@ class TestBackendDifferentialSweep:
     numpy operations in the same order on the same values, so outputs,
     parameter gradients, and input gradients must match bit for bit
     (``tobytes`` equality, not allclose) on every tuner-reachable
-    configuration of every model.  The mixed backend additionally derives its
-    per-kernel assignment from the graph's workload here, so the cost-model
-    routing path is what the sweep exercises.
+    configuration of every model.  The mixed backend runs the same source as
+    python-codegen behind its bind-time occupancy hook.
     """
 
     @pytest.mark.parametrize("options", list(_tuner_reachable_configurations()))

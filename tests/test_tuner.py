@@ -17,6 +17,7 @@ from repro.tuner import (
     tune_model,
     tune_program,
 )
+from repro.tuner.database import DB_FORMAT_VERSION
 
 DIM = 8
 
@@ -277,7 +278,7 @@ class TestTuningDatabase:
         from dataclasses import asdict
 
         payload = {
-            "version": 1,
+            "version": DB_FORMAT_VERSION,
             "records": {
                 "good": asdict(good),
                 "bad": {"options": {"warp_speed": True}, "estimated_ms": 1.0},
@@ -286,6 +287,25 @@ class TestTuningDatabase:
         path.write_text(json.dumps(payload))
         reloaded = TuningDatabase(path)
         assert len(reloaded) == 1 and reloaded.keys() == ["good"]
+
+    def test_previous_format_database_reads_as_empty(self, db, small_graph, rgat_program):
+        """A version-1 file's records carry ``mixed_assignment``, which
+        ``CompilerOptions.from_dict`` now rejects: the file reads as empty and
+        the next search overwrites it, instead of a replay raising."""
+        import json
+
+        options = {**CompilerOptions(backend="mixed").to_dict(), "mixed_assignment": [["gemm_1", "codegen"]]}
+        with pytest.raises(ValueError, match="mixed_assignment"):
+            CompilerOptions.from_dict(options)
+        tune_program(rgat_program, graph=small_graph, db=db)  # for the key a replay looks up
+        (key,) = db.keys()
+        record = {"options": options, "estimated_ms": 1.0}
+        db.path.write_text(json.dumps({"version": 1, "records": {key: record}}))
+        stale = TuningDatabase(db.path)
+        assert len(stale) == 0
+        assert not tune_program(rgat_program, graph=small_graph, db=stale).db_hit
+        assert json.loads(db.path.read_text())["version"] == DB_FORMAT_VERSION
+        assert TuningDatabase(db.path).keys() == [key]
 
     def test_default_database_honours_env_var_and_clears(self, tmp_path, monkeypatch):
         import repro.tuner.database as dbmod
