@@ -5,7 +5,7 @@ import numpy as np
 from repro.ir.codegen.helpers import _align, _ensure, _ensure_grad, _env_dtype, _scatter_add
 
 
-def _seg_forward_0(env, ctx):
+def main_forward(env, ctx):
     """Whole-plan forward of rgat_U: 5 kernels inlined, schema-unrolled."""
     _s_etype_ptr = ctx.etype_ptr.tolist()
     _c_num_etypes = ctx.num_etypes
@@ -120,12 +120,7 @@ def _seg_forward_0(env, ctx):
     _scatter_add(Y, dst, _contrib, fresh=True)
     return env
 
-def main_forward(env, ctx):
-    """Mixed forward of rgat_U: 0 interp kernels, 5 codegen-segment kernels."""
-    _seg_forward_0(env, ctx)
-    return env
-
-def _seg_backward_0(env, ctx):
+def main_backward(env, ctx):
     """Whole-plan backward of rgat_U: 7 kernels inlined, schema-unrolled."""
     _s_etype_ptr = ctx.etype_ptr.tolist()
     _c_num_edges = ctx.num_edges
@@ -413,9 +408,4 @@ def _seg_backward_0(env, ctx):
         Xg = _b_h[_c_edge_src[rows]]
         grad_W[5] += Xg.T @ gY
     _scatter_add(grad_X, _c_edge_src, contrib)
-    return env
-
-def main_backward(env, ctx):
-    """Mixed backward of rgat_U: 0 interp kernels, 7 codegen-segment kernels."""
-    _seg_backward_0(env, ctx)
     return env
