@@ -31,7 +31,7 @@ def main() -> None:
     print(f"graph: {graph}")
 
     for label, options in (
-        ("unoptimised", CompilerOptions()),
+        ("unoptimised", CompilerOptions(compact_materialization=False, linear_operator_reordering=False)),
         ("compaction + reordering", CompilerOptions(compact_materialization=True,
                                                     linear_operator_reordering=True)),
     ):

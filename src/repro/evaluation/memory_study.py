@@ -6,7 +6,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.baselines.hector_system import HectorSystem
 from repro.evaluation.workload import WorkloadSpec
-from repro.frontend.config import CONFIGURATIONS, CompilerOptions
+from repro.frontend.config import CONFIGURATIONS
 from repro.graph.datasets import dataset_names, get_dataset_stats
 from repro.runtime.planner import MemoryPlanner
 
@@ -34,7 +34,7 @@ def memory_footprint_study(
     datasets = list(datasets) if datasets is not None else dataset_names()
     unopt = HectorSystem(CONFIGURATIONS["U"])
     compact = HectorSystem(CONFIGURATIONS["C"])
-    inference_opts = CompilerOptions(emit_backward=False)
+    inference_opts = CONFIGURATIONS["U"].with_(emit_backward=False)
     inference_system = HectorSystem(inference_opts, name="Hector (U, inference)")
     rows: List[Dict[str, object]] = []
     for dataset in datasets:

@@ -9,14 +9,19 @@ mag and wikikg2 (the ``*`` footnote of Table 5).
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.baselines.hector_system import HectorSystem
 from repro.evaluation.reporting import geometric_mean
 from repro.evaluation.workload import WorkloadSpec
-from repro.frontend.config import CONFIGURATIONS
+from repro.frontend.compiler import compile_model
+from repro.frontend.config import CONFIGURATIONS, CompilerOptions
 from repro.gpu.device import DeviceSpec, RTX_3090
 from repro.graph.datasets import dataset_names
+from repro.graph.hetero_graph import HeteroGraph
 
 #: Table 5 studies the two attention models only.
 OPTIMIZATION_MODELS = ("rgat", "hgt")
@@ -77,6 +82,59 @@ def optimization_speedups(
                 values = per_config_speedups[label]
                 average_row[label] = geometric_mean(values) if values else None
             rows.append(average_row)
+    return rows
+
+
+def executed_optimization_speedups(
+    graphs: Sequence[HeteroGraph],
+    models: Sequence[str] = ("rgcn", "rgat", "hgt"),
+    dim: int = 32,
+    rounds: int = 3,
+) -> List[Dict[str, object]]:
+    """Measured beside modelled: U / C / R / C+R on the executed ``python-codegen`` backend.
+
+    One row per graph × model × mode (``step`` = forward + backward): each
+    configuration's measured speed-up over U (best ``time.thread_time`` pass of
+    ``rounds`` interleaved two-pass batches: a slow stretch of a shared host
+    lands on all four, a batch's second pass finds its data in cache), the
+    roofline model's for the same workload, and :meth:`CompilerOptions.resolved`'s decision.
+    """
+    # Measure a long-lived process: once a large buffer (here 31 MiB, under glibc's
+    # threshold cap) has been freed, E×d temporaries stay on the heap; before, each is
+    # page-faulted afresh per call and allocation history picks which configuration pays.
+    np.empty(31 << 17)
+    systems = {label: HectorSystem(CONFIGURATIONS[label]) for label in CONFIG_LABELS}
+    rows: List[Dict[str, object]] = []
+    for graph in graphs:
+        features = np.random.default_rng(0).standard_normal((graph.num_nodes, dim))
+        workload = WorkloadSpec.from_graph(graph, in_dim=dim, out_dim=dim)
+        shape = {
+            "graph": graph.name, "ratio": round(graph.entity_compaction_ratio, 2),
+            "edges/rel": graph.num_edges // graph.num_edge_types,
+            "decision": CompilerOptions().resolved(graph).label(),
+        }
+        for model in models:
+            modules = {
+                label: compile_model(model, graph, dim, dim, CONFIGURATIONS[label].with_(backend="python-codegen"))
+                for label in CONFIG_LABELS
+            }
+            for training in (False, True):
+                best = dict.fromkeys(CONFIG_LABELS, float("inf"))
+                for label, module in list(modules.items()) * rounds:
+                    for _ in range(2):
+                        start = time.thread_time()
+                        out = module.forward(features)[module.output_name]
+                        if training:
+                            module.backward({module.output_name: np.ones_like(out)})
+                            module.zero_grad()
+                        best[label] = min(best[label], time.thread_time() - start)
+                modelled = {label: systems[label].estimate(model, workload, training).time_ms for label in best}
+                row: Dict[str, object] = {**shape, "model": model.upper(), "mode": "step" if training else "forward"}
+                row["U_ms"] = round(best["U"] * 1e3, 2)
+                for label in CONFIG_LABELS[1:]:
+                    row[label] = best["U"] / best[label]
+                    row[f"model_{label}"] = modelled["U"] / modelled[label]
+                rows.append(row)
     return rows
 
 

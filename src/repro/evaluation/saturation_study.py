@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.evaluation.reporting import format_markdown_table, format_table
 from repro.frontend.compiler import compile_model
-from repro.frontend.config import CompilerOptions
+from repro.frontend.config import CONFIGURATIONS
 from repro.graph.generators import random_hetero_graph
 from repro.graph.hetero_graph import HeteroGraph
 from repro.runtime.module import CompiledRGNNModule
@@ -69,7 +69,7 @@ def tenant_graphs(seed: int = 23) -> Dict[str, HeteroGraph]:
 def compile_tenants(graphs: Dict[str, HeteroGraph], seed: int = 7) -> Dict[str, CompiledRGNNModule]:
     """Compile each tenant's module once; routers adopt them (so a sweep over
     load multipliers pays compilation once, not once per router)."""
-    options = CompilerOptions(emit_backward=False)
+    options = CONFIGURATIONS["U"].with_(emit_backward=False)  # served on sampled blocks: pinned, not decided
     return {
         name: compile_model(
             model, graphs[name], in_dim=IN_DIM, out_dim=OUT_DIM,

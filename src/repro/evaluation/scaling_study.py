@@ -31,6 +31,7 @@ import argparse
 from typing import Dict, List, Optional, Sequence
 
 from repro.frontend.compiler import compile_model
+from repro.frontend.config import CONFIGURATIONS
 from repro.graph.generators import random_features, random_labels
 from repro.graph.datasets import random_hetero_graph
 from repro.graph.hetero_graph import HeteroGraph
@@ -74,7 +75,8 @@ def scaling_study(
     baseline_aggregate: Optional[float] = None
     for workers in worker_counts:
         trainer = ShardedTrainer(
-            lambda: compile_model(model, graph, in_dim=DIM, out_dim=DIM, seed=seed),
+            # Trained on sampled blocks: U pinned, not decided from the parent graph.
+            lambda: compile_model(model, graph, in_dim=DIM, out_dim=DIM, options=CONFIGURATIONS["U"], seed=seed),
             graph, features, labels,
             num_shards=workers, collective=collective,
             optimizer="adam", lr=lr, batch_size=batch_size,

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.frontend.compiler import compile_model
+from repro.frontend.config import CONFIGURATIONS
 from repro.graph import load_dataset
 from repro.graph.generators import random_features, random_labels
 from repro.graph.hetero_graph import HeteroGraph
@@ -68,7 +69,8 @@ def training_study(
     labels = random_labels(graph, NUM_CLASSES, seed=seed + 1)
 
     def build_trainer(**kwargs) -> MinibatchTrainer:
-        module = compile_model(model, graph, in_dim=DIM, out_dim=DIM, seed=seed)
+        # One module for both trainers, and one of them runs sampled blocks: U pinned.
+        module = compile_model(model, graph, in_dim=DIM, out_dim=DIM, options=CONFIGURATIONS["U"], seed=seed)
         return MinibatchTrainer(
             module, graph, features, labels,
             objective="cross_entropy", optimizer="adam", lr=lr,

@@ -14,7 +14,7 @@ corresponding to the paper's ``@hector.compile``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional
 
 from repro.frontend.cache import CompilationCache, global_compilation_cache, make_cache_key
@@ -40,6 +40,13 @@ class CompilationResult:
     plan: KernelPlan
     generated: GeneratedModule
     options: CompilerOptions
+    #: Who fixed the pass switches: the caller's ``"options"`` or the ``"compiler"``.
+    decided_by: str = "options"
+
+    @property
+    def configuration(self) -> str:
+        """The compiled configuration: ``U`` / ``C`` / ``R`` / ``C+R``."""
+        return self.options.label()
 
     def cuda_source(self) -> str:
         """CUDA-like kernel source text for the plan (the ``cuda-emit`` backend)."""
@@ -82,8 +89,13 @@ def compile_program(
     cache key, so interp and codegen artifacts of one program never collide,
     and the generated module — including the codegen backend's ``exec``-compiled
     ``main_forward``/``main_backward`` callables — is cached alongside the plan.
+
+    Unset pass switches resolve to U here (``graph`` only qualifies the key);
+    ``compile_model`` / ``hector_compile`` decide them for their graph first.
     """
-    options = options or CompilerOptions()
+    requested = options or CompilerOptions()
+    options = requested.resolved()
+    decided_by = "options" if options is requested else "compiler"
     if options.is_auto:
         raise ValueError(
             "optimization_level='auto' must be resolved before compilation: use "
@@ -110,7 +122,7 @@ def compile_program(
     if cache is not None:
         cached = cache.lookup(key)
         if cached is not None:
-            return cached
+            return cached if cached.decided_by == decided_by else replace(cached, decided_by=decided_by)
     optimized = pipeline_for_options(options).run(program)
     plan = lower_program(
         optimized,
@@ -125,6 +137,7 @@ def compile_program(
     plan.name = f"{program.name}_{options.label()}"
     plan.metadata["memory_planning_enabled"] = options.enable_memory_planning
     plan.metadata["backend"] = backend.name
+    plan.metadata["configuration"] = options.label()
     generated = backend.generate(
         plan,
         BackendOptions(
@@ -139,6 +152,7 @@ def compile_program(
         plan=plan,
         generated=generated,
         options=options,
+        decided_by=decided_by,
     )
     if cache is not None:
         cache.store(key, result)
@@ -178,7 +192,8 @@ def compile_model(
         model: model name registered in :mod:`repro.models`.
         graph: the heterogeneous graph the module is specialised for.
         in_dim / out_dim: feature dimensions (the paper uses 64/64).
-        options: compiler options; defaults to the unoptimised configuration.
+        options: compiler options; unset pass switches are decided from
+            ``graph`` (:meth:`CompilerOptions.resolved`).
             ``CompilerOptions(optimization_level="auto")`` implies ``tune=True``.
         seed: parameter-initialisation seed.
         tune: ask the :mod:`repro.tuner` autotuner to pick the configuration.
@@ -227,8 +242,19 @@ def compile_model(
             space=tuning_space,
             measure_top_k=measure_top_k,
         )
+    return _module_for(program, options, graph, seed)
+
+
+def _module_for(program: InterOpProgram, options: Optional[CompilerOptions], graph: HeteroGraph, seed: int):
+    """Decide unset switches for ``graph``, compile, bind; the module records the decision."""
+    requested = options or CompilerOptions()
+    options = requested.resolved(graph)
     result = compile_program(program, options, graph=graph)
-    return CompiledRGNNModule(result.plan, result.generated, graph, seed=seed)
+    module = CompiledRGNNModule(result.plan, result.generated, graph, seed=seed)
+    if options is not requested:
+        module.decision = {"decided_by": "compiler", "entity_compaction_ratio": graph.entity_compaction_ratio,
+                           "edges_per_relation": graph.num_edges / max(graph.num_edge_types, 1)}
+    return module
 
 
 def hector_compile(
@@ -262,9 +288,7 @@ def hector_compile(
 
             builder = ProgramBuilder(model_fn.__name__, in_dim=in_dim, out_dim=out_dim)
             model_fn(builder)
-            program = builder.finish()
-            result = compile_program(program, options)
-            return CompiledRGNNModule(result.plan, result.generated, graph, seed=seed)
+            return _module_for(builder.finish(), options, graph, seed)
 
         factory.__name__ = f"compiled_{model_fn.__name__}"
         factory.__doc__ = model_fn.__doc__

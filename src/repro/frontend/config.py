@@ -3,6 +3,16 @@
 The optimization switches correspond to the configurations evaluated in the
 paper: unoptimised (``U``), compact materialization (``C``), linear operator
 reordering (``R``), and both (``C+R``) — Table 5 and Figure 9.
+
+Both switches default to ``None`` — *the compiler decides*:
+:meth:`CompilerOptions.resolved` fills an unset switch from two statistics of
+the graph the plan runs on (``compile_model`` / ``hector_compile`` pass theirs);
+``True`` / ``False`` pin a switch, ``CONFIGURATIONS["U"]`` pins both off.  Plans
+compiled for sampled blocks (``MultiLayerModule.build``, ``Router.register(name,
+"rgat", …)``) resolve with no graph and keep U — a fanout-bounded block has ≈ 80
+edges per relation and compaction ratio ≈ 1 whatever its parent looks like —
+but a hand-compiled ``compile_model(model, parent)`` module keeps ``parent``'s
+decision wherever it is later bound.
 """
 
 from __future__ import annotations
@@ -19,7 +29,8 @@ class CompilerOptions:
 
     Attributes:
         compact_materialization: enable the compact materialization pass.
-        linear_operator_reordering: enable the reordering pass.
+        linear_operator_reordering: enable the reordering pass.  Either
+            switch left ``None`` is decided by :meth:`resolved`.
         enable_fusion: fuse adjacent traversal operators into one kernel.
         emit_backward: also generate backward (training) kernels.
         gemm_tile_size: shared-memory tile width of GEMM instances.
@@ -70,8 +81,8 @@ class CompilerOptions:
             at bind time, to the occupied relations of each bound graph.
     """
 
-    compact_materialization: bool = False
-    linear_operator_reordering: bool = False
+    compact_materialization: Optional[bool] = None
+    linear_operator_reordering: Optional[bool] = None
     enable_fusion: bool = True
     emit_backward: bool = True
     gemm_tile_size: int = 16
@@ -95,6 +106,24 @@ class CompilerOptions:
     def is_auto(self) -> bool:
         """Whether these options request autotuning instead of fixed switches."""
         return self.optimization_level == "auto"
+
+    def resolved(self, graph=None) -> "CompilerOptions":
+        """These options with every unset switch decided from ``graph``'s statistics.
+
+        The rule, as measured (:func:`repro.evaluation.optimizations.executed_optimization_speedups`):
+        compact when at most half the edges carry a distinct (source, relation)
+        pair, reorder when relations average 1 000 edges.  No graph, or no
+        edges, decides U; a set switch is never touched.
+        """
+        compact, reorder = self.compact_materialization, self.linear_operator_reordering
+        if compact is not None and reorder is not None:
+            return self
+        has_edges = graph is not None and graph.num_edges > 0
+        if compact is None:
+            compact = has_edges and graph.entity_compaction_ratio <= 0.5
+        if reorder is None:
+            reorder = has_edges and graph.num_edges >= 1000 * graph.num_edge_types
+        return self.with_(compact_materialization=compact, linear_operator_reordering=reorder)
 
     def gemm_schedule(self) -> GemmSchedule:
         """Schedule applied to every GEMM-template instance."""
@@ -165,8 +194,11 @@ class CompilerOptions:
         ``enable_compilation_cache`` is deliberately excluded: it controls
         whether the cache is consulted, not what is produced.
         ``optimization_level`` is likewise excluded: ``"auto"`` is resolved to
-        concrete switches before any compilation happens.
+        concrete switches before any compilation happens.  An unset pass
+        switch has no key (``None`` must not hash beside ``False``).
         """
+        if self.compact_materialization is None or self.linear_operator_reordering is None:
+            raise ValueError("unresolved CompilerOptions have no cache key; call .resolved(graph) first")
         return (
             self.compact_materialization,
             self.linear_operator_reordering,
@@ -185,8 +217,8 @@ class CompilerOptions:
 
 #: The four optimization configurations studied in Table 5 / Figure 9.
 CONFIGURATIONS = {
-    "U": CompilerOptions(),
-    "C": CompilerOptions(compact_materialization=True),
-    "R": CompilerOptions(linear_operator_reordering=True),
+    "U": CompilerOptions(compact_materialization=False, linear_operator_reordering=False),
+    "C": CompilerOptions(compact_materialization=True, linear_operator_reordering=False),
+    "R": CompilerOptions(compact_materialization=False, linear_operator_reordering=True),
     "C+R": CompilerOptions(compact_materialization=True, linear_operator_reordering=True),
 }

@@ -73,11 +73,14 @@ def _scatter_add(target, idx, contrib, fresh=False):
     row and assigned.  Every executing backend scatters through this one
     function, so they agree bit for bit; ``np.bincount`` never yields
     ``-0.0``, so ``fresh`` equals accumulating onto a zero-filled target.
-    Contributions that broadcast against the target rows, or carry more than
-    one feature axis, take the unbuffered ufunc.
+    Trailing feature axes of a C-contiguous target are flattened into one;
+    contributions that broadcast against the target rows take the unbuffered
+    ufunc.
     """
-    row_per_index = contrib.ndim == target.ndim <= 2 and contrib.shape == (len(idx), *target.shape[1:])
-    if not row_per_index or len(idx) == 0:
+    row_per_index = contrib.shape == (len(idx), *target.shape[1:])
+    if row_per_index and target.ndim > 2 and target.flags.c_contiguous:  # the reshape is a view of ``target``
+        target, contrib = target.reshape(len(target), -1), contrib.reshape(len(idx), -1)
+    if not row_per_index or target.ndim > 2 or len(idx) == 0:
         if fresh:
             target[...] = 0.0
         np.add.at(target, idx, contrib)

@@ -68,6 +68,8 @@ class CompiledRGNNModule:
         self.plan = plan
         self.generated = generated
         self.schema = schema
+        #: Who fixed the plan's pass switches; the compiler adds the two statistics it read.
+        self.decision: Dict[str, object] = {"decided_by": "options"}
         self.memory_planner: Optional[MemoryPlanner] = None
         self.arena_pool: Optional[ArenaPool] = None
         if plan.metadata.get("memory_planning_enabled"):
@@ -283,6 +285,8 @@ class CompiledRGNNModule:
 
         info = self.plan.summary()
         info["backend"] = self.backend
+        info["configuration"] = self.plan.metadata.get("configuration")
+        info.update(self.decision)
         info["num_parameters"] = self.num_parameters()
         info["graph"] = (
             self._default_binding.graph.name if self._default_binding is not None else str(self.schema)

@@ -125,7 +125,8 @@ class MultiLayerModule:
             dims: ``L + 1`` feature dimensions; layer ``l`` maps
                 ``dims[l] -> dims[l + 1]``.
             options: compiler options shared by every layer (default options
-                keep backward kernels on, as training needs them).
+                keep backward kernels on, as training needs them).  Unset pass
+                switches resolve to U: layers run on sampled blocks, not on ``graph``.
             seed: base parameter-initialisation seed (layer ``l`` uses
                 ``seed + l`` so layers do not share initial weights).
             shared_budget: optional cross-layer arena budget; each layer
@@ -133,15 +134,20 @@ class MultiLayerModule:
                 under one byte cap.
         """
         from repro.frontend.compiler import compile_model  # local import: avoids a cycle
+        from repro.frontend.config import CompilerOptions
 
         dims = [int(d) for d in dims]
         if len(dims) < 2:
             raise ValueError("dims needs at least (in_dim, out_dim)")
+        requested = options or CompilerOptions()
+        options = requested.resolved()
         modules = [
             compile_model(model, graph, in_dim=dims[i], out_dim=dims[i + 1],
                           options=options, seed=seed + i)
             for i in range(len(dims) - 1)
         ]
+        for module in modules:
+            module.decision = {"decided_by": "options" if options is requested else "compiler"}
         stack = cls(modules)
         if shared_budget is not None:
             stack.arena_sources = [

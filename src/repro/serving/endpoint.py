@@ -97,13 +97,15 @@ def resolve_module(
 
     options = options or CompilerOptions(emit_backward=False)
     program = build_program(model, in_dim=in_dim, out_dim=out_dim)
+    # Unset pass switches resolve to U: the plan runs on sampled blocks (frontend/config.py).
     result = compile_program(program, options, graph=graph)
     module = CompiledRGNNModule(result.plan, result.generated, graph, seed=seed)
+    module.decision = {"decided_by": result.decided_by}
     if options.enable_compilation_cache:
         # Per-batch replay checks only make sense when lookups are cache
         # hits; with the cache disabled each check would be a full,
         # discarded recompilation per batch.
-        return module, program, options
+        return module, program, result.options
     return module, None, None
 
 

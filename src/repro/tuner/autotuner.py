@@ -201,7 +201,7 @@ def search_design_space(
         raise ValueError(f"unknown tuning mode {mode!r}")
     if search not in SEARCH_STRATEGIES:
         raise ValueError(f"unknown search strategy {search!r}; expected one of {SEARCH_STRATEGIES}")
-    base = (base_options or CompilerOptions()).with_(optimization_level=None)
+    base = (base_options or CompilerOptions()).with_(optimization_level=None).resolved(graph)
     if mode == "training" and not base.emit_backward:
         raise ValueError("training-mode tuning requires base options with emit_backward=True")
     space = space or TuningSpace()
@@ -288,7 +288,7 @@ def tune_program(
     """
     if mode not in ("inference", "training"):
         raise ValueError(f"unknown tuning mode {mode!r}")
-    base = (base_options or CompilerOptions()).with_(optimization_level=None)
+    base = (base_options or CompilerOptions()).with_(optimization_level=None).resolved(graph)
     if mode == "training" and not base.emit_backward:
         raise ValueError("training-mode tuning requires base options with emit_backward=True")
     explicit_workload = workload is not None

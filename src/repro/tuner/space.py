@@ -99,16 +99,17 @@ class TuningSpace:
 
     # ------------------------------------------------------------------
     def pass_candidates(self, base: Optional[CompilerOptions] = None) -> List[CompilerOptions]:
-        """Pass-level candidates (base schedules), base point first."""
-        base = base or CompilerOptions()
+        """Pass-level candidates (base schedules), the (resolved) base point first."""
+        base = (base or CompilerOptions()).resolved()
         # The base options' backend leads, so the base point stays first and
         # cost-model ties (backends share one estimate) resolve toward it.
         backends = (base.backend,) + tuple(b for b in self.backends if b != base.backend)
+        base_first = lambda axis, value: sorted(axis, key=lambda v: v != value)  # stable: the rest keep axis order
         candidates: List[CompilerOptions] = []
         for backend in backends:
-            for compact in self.compact_materialization:
-                for reorder in self.linear_operator_reordering:
-                    for fuse in self.fuse_elementwise:
+            for compact in base_first(self.compact_materialization, base.compact_materialization):
+                for reorder in base_first(self.linear_operator_reordering, base.linear_operator_reordering):
+                    for fuse in base_first(self.fuse_elementwise, base.fuse_elementwise):
                         candidates.append(
                             base.with_(
                                 compact_materialization=compact,
@@ -127,7 +128,7 @@ class TuningSpace:
         searches always re-evaluate the point they are refining and ties
         resolve toward it.
         """
-        base = base or CompilerOptions()
+        base = (base or CompilerOptions()).resolved()
         candidates: List[CompilerOptions] = [base.with_(optimization_level=None)]
         for tile in self.gemm_tile_sizes:
             for coarsening in self.gemm_coarsening:

@@ -71,7 +71,7 @@ class TestCompilationCache:
 
     def test_schema_qualifies_key(self, small_graph, tiny_graph):
         program = build_program("rgcn", in_dim=8, out_dim=8)
-        options = CompilerOptions()
+        options = CompilerOptions().resolved()  # unresolved options have no key
         key_a = make_cache_key(program, options, small_graph)
         key_b = make_cache_key(program, options, tiny_graph)
         key_none = make_cache_key(program, options)

@@ -43,10 +43,15 @@ class TestTuningSpace:
         assert labels == set(CONFIGURATIONS)
 
     def test_default_point_comes_first(self):
+        # The default point is the *resolved* base: unset switches decide U without a graph ...
         candidates = TuningSpace().pass_candidates()
-        assert candidates[0] == CompilerOptions()
+        assert candidates[0] == CompilerOptions().resolved() == CONFIGURATIONS["U"]
         full = TuningSpace().all_candidates()
-        assert full[0] == CompilerOptions()
+        assert full[0] == CONFIGURATIONS["U"]
+        # ... and a base that pins (or was resolved to) another configuration leads its own search.
+        for label, base in CONFIGURATIONS.items():
+            assert TuningSpace().pass_candidates(base)[0] == base, label
+            assert TuningSpace().all_candidates(base.with_(fuse_elementwise=True))[0].fuse_elementwise
 
     def test_candidates_are_unique_and_sized(self):
         space = TuningSpace()
