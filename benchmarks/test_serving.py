@@ -7,9 +7,9 @@ Three claims are gated here:
    serves ≥ 3 differently-sized minibatch blocks, and after warmup every
    per-block cache lookup is a *hit* returning the identical plan object
    (asserted via the compilation-cache hit/miss counters).
-2. **Micro-batching pays** — on one request stream, the micro-batched engine
-   sustains ≥ 2× the throughput of a batch-size-1 engine, with ~100%
-   plan-replay rate on both.
+2. **Micro-batching pays** — on one request stream, a micro-batched router
+   endpoint sustains ≥ 2× the throughput of a batch-size-1 endpoint, with
+   ~100% plan-replay rate on both.
 3. **Consolidation pays** — one router hosting 3 heterogeneous endpoints
    (RGCN/RGAT/HGT, different graphs and schemas) under a single shared arena
    budget serves a mixed 480-request stream at ≥ 1.5× the throughput of the
@@ -22,12 +22,6 @@ import numpy as np
 import pytest
 
 from repro.evaluation.reporting import format_table
-from repro.evaluation.serving_study import (
-    default_serving_graph,
-    request_stream,
-    serving_rows,
-    serving_study,
-)
 from repro.frontend import (
     CompilerOptions,
     clear_compilation_cache,
@@ -35,8 +29,10 @@ from repro.frontend import (
     compile_program,
     global_compilation_cache,
 )
-from repro.graph import NeighborSampler
+from repro.graph import NeighborSampler, random_hetero_graph
+from repro.graph.generators import random_features
 from repro.models import build_program
+from repro.serving import Router
 
 DIM = 16
 
@@ -44,29 +40,61 @@ DIM = 16
 SERVING_OPTIONS = CompilerOptions(emit_backward=False, compact_materialization=True)
 
 
+def default_serving_graph(seed: int = 17):
+    """The serving gates' parent graph: big enough that per-request work dominates."""
+    return random_hetero_graph(
+        num_nodes=400, num_edges=2400, num_node_types=3, num_edge_types=6,
+        seed=seed, name="serving", source_locality=0.4,
+    )
+
+
+def request_stream(graph, num_requests, seeds_per_request, seed=0):
+    """A reproducible stream of per-request seed-node queries."""
+    rng = np.random.default_rng(seed)
+    return [
+        rng.choice(graph.num_nodes, size=seeds_per_request, replace=False)
+        for _ in range(num_requests)
+    ]
+
+
 @pytest.mark.smoke
 @pytest.mark.parametrize("model", ["rgat"])
 def test_microbatched_throughput_beats_batch_size_1(model):
-    """Acceptance gate: micro-batched throughput ≥ 2× batch-size-1."""
-    study = serving_study(
-        model=model,
-        num_requests=48,
-        seeds_per_request=4,
-        max_batch_size=16,
-        in_dim=DIM,
-        out_dim=DIM,
-    )
+    """Acceptance gate: micro-batched throughput ≥ 2× batch-size-1.
+
+    Two endpoints on one router share the model, options, feature store,
+    fanout and stream; only ``max_batch_size`` differs.  The block cache is
+    off, so every batch samples its own block.
+    """
+    graph = default_serving_graph()
+    features = random_features(graph, DIM, seed=0)
+    stream = request_stream(graph, num_requests=48, seeds_per_request=4)
+    router = Router()
+    modes = {"batch-1": 1, "micro-batch(16)": 16}
+    for name, batch_size in modes.items():
+        router.register(
+            name, model, graph, in_dim=DIM, out_dim=DIM, options=SERVING_OPTIONS,
+            features=features, fanouts=(8,), max_batch_size=batch_size,
+            block_cache_size=0,
+        )
+        # Warm the arena and lazy numpy dispatch with one throwaway batch.
+        router.query(name, stream[0])
+    router.reset_stats()
+    rows = []
+    for name in modes:  # one endpoint per stream: each owns the executor
+        report = router.serve([(name, seeds) for seeds in stream])
+        rows.append({"mode": name, **report["endpoints"][name]})
+    speedup = rows[1]["throughput_rps"] / rows[0]["throughput_rps"]
     print()
-    print(format_table(
-        serving_rows(study),
-        title=f"Serving study — {study['model']} on {study['graph']} "
-              f"(speedup {study['speedup']}x)",
-    ))
-    assert study["zero_recompiles"], "serving recompiled a plan it should have replayed"
-    for row in serving_rows(study):
+    print(format_table(rows, title=f"Serving — {model} on {graph.name} (speedup {speedup:.2f}x)"))
+    for name in modes:
+        assert router.endpoint(name).plan_recompiles == 0, (
+            "serving recompiled a plan it should have replayed"
+        )
+    for row in rows:
         assert row["plan_replay_rate"] == 1.0, row
-    assert study["speedup"] >= 2.0, (
-        f"micro-batching regressed: {study['speedup']:.2f}x < 2x over batch-size-1"
+    assert speedup >= 2.0, (
+        f"micro-batching regressed: {speedup:.2f}x < 2x over batch-size-1"
     )
 
 
@@ -124,19 +152,18 @@ def test_plan_cache_hit_rate_is_one_after_warmup_across_request_stream():
     """~100% plan-cache hit rate across a longer request stream."""
     clear_compilation_cache()
     graph = default_serving_graph()
-    from repro.serving import ServingEngine
-
-    engine = ServingEngine(
-        "hgt", graph, in_dim=DIM, out_dim=DIM, options=SERVING_OPTIONS,
-        fanouts=(6,), max_batch_size=8,
+    router = Router()
+    endpoint = router.register(
+        "hgt", "hgt", graph, in_dim=DIM, out_dim=DIM, options=SERVING_OPTIONS,
+        fanouts=(6,), max_batch_size=8, block_cache_size=0,
     )
     stats = global_compilation_cache().stats
     misses_after_compile = stats.misses
 
     stream = request_stream(graph, num_requests=40, seeds_per_request=3, seed=5)
-    report = engine.serve(stream)
+    report = router.serve([("hgt", seeds) for seeds in stream])["endpoints"]["hgt"]
     assert report["plan_replay_rate"] == 1.0
-    assert engine.plan_recompiles == 0
+    assert endpoint.plan_recompiles == 0
     assert stats.misses == misses_after_compile, "serving caused compilation-cache misses"
     print()
     print(format_table([report], title="HGT serving stream — plan replays only"))

@@ -35,7 +35,7 @@ Public entry points:
 from repro.frontend import CompilerOptions, compile_model, compile_program, hector_compile
 from repro.ir.codegen.registry import Backend, available_backends, get_backend, register_backend
 from repro.runtime import MultiLayerModule
-from repro.serving import Router, ServingEngine
+from repro.serving import Router
 from repro.train import MinibatchTrainer, ShardedTrainer
 
 __version__ = "1.7.0"
@@ -50,7 +50,6 @@ __all__ = [
     "hector_compile",
     "register_backend",
     "Router",
-    "ServingEngine",
     "MinibatchTrainer",
     "ShardedTrainer",
     "MultiLayerModule",

@@ -12,7 +12,6 @@ from repro.evaluation.loc_metric import programming_effort_metric
 from repro.evaluation.autotune_study import AutotuneCell, autotune_rows, autotune_study
 from repro.evaluation.multitenant_study import multitenant_rows, multitenant_study
 from repro.evaluation.scaling_study import dispatch_bound_graph, scaling_rows, scaling_study
-from repro.evaluation.serving_study import serving_rows, serving_study
 from repro.evaluation.training_study import perhop_work_study, training_rows, training_study
 from repro.evaluation import reporting
 
@@ -37,8 +36,6 @@ __all__ = [
     "dispatch_bound_graph",
     "scaling_rows",
     "scaling_study",
-    "serving_rows",
-    "serving_study",
     "perhop_work_study",
     "training_rows",
     "training_study",

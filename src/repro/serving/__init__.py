@@ -8,8 +8,10 @@ and scattering per-request outputs back — with throughput / latency /
 occupancy / reuse telemetry throughout.
 
 The primary API is the :class:`Router`: named endpoints (compiled module +
-parent graph + sampler + batching policy + priority), async admission, an
-event-loop scheduler with weighted-round-robin fairness across endpoints,
+parent graph + sampler + batching policy + priority), async admission, one
+event loop (:func:`run_serving_loop`) with weighted-round-robin fairness
+across endpoints — :meth:`Router.serve` runs timed streams through it,
+:meth:`Router.flush` / :meth:`Router.query` the already-submitted queues —
 and one :class:`~repro.runtime.planner.SharedArenaBudget` byte cap over all
 tenants' arenas.
 
@@ -21,26 +23,18 @@ Quickstart::
     router.register("rgat-main", "rgat", graph, in_dim=64, out_dim=64)
     outputs = router.query("rgat-main", [3, 17, 42])  # (3, 64) rows
     print(router.report()["aggregate"])
-
-The single-tenant :class:`ServingEngine` remains as a thin shim over a
-one-endpoint router (see :mod:`repro.serving.engine` for the deprecation
-note and migration pointers).
 """
 
 from repro.serving.admission import AdmissionController, AdmissionPolicy, TokenBucket
 from repro.serving.endpoint import Endpoint, ServingRequest
-from repro.serving.engine import ServingEngine
 from repro.serving.router import Router
 from repro.serving.scheduler import (
-    EventLoopResult,
     LaneSpec,
     MonotonicClock,
     ScheduledBatch,
     ServingLoopResult,
     VirtualClock,
     WeightedRoundRobin,
-    partition_into_batches,
-    run_event_loop,
     run_serving_loop,
 )
 from repro.serving.stats import BatchRecord, EngineStats, aggregate_summary, percentile
@@ -48,7 +42,6 @@ from repro.serving.stats import BatchRecord, EngineStats, aggregate_summary, per
 __all__ = [
     "Router",
     "Endpoint",
-    "ServingEngine",
     "ServingRequest",
     "AdmissionPolicy",
     "AdmissionController",
@@ -61,10 +54,7 @@ __all__ = [
     "MonotonicClock",
     "WeightedRoundRobin",
     "ScheduledBatch",
-    "EventLoopResult",
     "LaneSpec",
     "ServingLoopResult",
-    "partition_into_batches",
-    "run_event_loop",
     "run_serving_loop",
 ]

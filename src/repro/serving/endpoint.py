@@ -15,9 +15,7 @@ per-endpoint telemetry.  Memory is *not* owned here — endpoints lease arenas
 from the router's :class:`~repro.runtime.planner.SharedArenaBudget` through a
 per-tenant source, so all tenants stay under one byte cap.
 
-Endpoints are created by :meth:`repro.serving.router.Router.register`; the
-legacy single-tenant :class:`~repro.serving.engine.ServingEngine` is a thin
-shim over a router with exactly one of them.
+Endpoints are created by :meth:`repro.serving.router.Router.register`.
 """
 
 from __future__ import annotations
@@ -173,9 +171,8 @@ class Endpoint:
             stacks — each stack layer is its own tenant, attached on the
             module itself).
         block_cache_size: capacity of the per-seed draw cache, in seeds
-            (0 disables caching — the legacy engine shim uses this to stay
-            bit-identical with resample-every-batch behaviour under finite
-            fanouts).
+            (0 disables caching: under finite fanouts every batch then
+            draws a fresh sample).
         program / options: compilation handles for plan-replay accounting
             (see :func:`resolve_module`).
         sampler_seed: base seed of the endpoint's private sampler.

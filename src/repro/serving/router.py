@@ -5,13 +5,16 @@ module (or a multi-layer stack served per-hop) + parent graph + sampler +
 micro-batching policy (:mod:`repro.serving.endpoint`) — and multiplexes their
 request streams onto a pool of ``num_workers`` executor workers under a
 single :class:`~repro.runtime.planner.SharedArenaBudget` byte cap.
-Scheduling is a real event loop (:mod:`repro.serving.scheduler`): requests
-are admitted concurrently across endpoints (optionally through per-tenant
-:class:`~repro.serving.admission.AdmissionPolicy` rate/queue/deadline
-limits), each endpoint micro-batches its own queue, and ready batches compete
-for executor slots under smooth weighted round-robin — at most one in-flight
-batch per endpoint, so per-endpoint state needs no locks and per-request
-results are identical for every worker count.
+Scheduling is one event loop (:func:`~repro.serving.scheduler.run_serving_loop`):
+requests are admitted concurrently across endpoints (optionally through
+per-tenant :class:`~repro.serving.admission.AdmissionPolicy`
+rate/queue/deadline limits), each endpoint micro-batches its own queue, and
+ready batches compete for executor slots under smooth weighted round-robin —
+at most one in-flight batch per endpoint, so per-endpoint state needs no
+locks and per-request results are identical for every worker count.
+:meth:`Router.serve` runs a timed stream through it; :meth:`Router.flush`
+(and :meth:`Router.query`) run the already-submitted queues through the same
+loop on one worker with zero batch timeouts.
 
 Quickstart::
 
@@ -31,8 +34,7 @@ Quickstart::
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,10 +54,8 @@ from repro.serving.endpoint import (
 from repro.serving.scheduler import (
     LaneSpec,
     MonotonicClock,
-    ScheduledBatch,
     VirtualClock,
     WeightedRoundRobin,
-    run_event_loop,
     run_serving_loop,
 )
 from repro.serving.stats import aggregate_summary
@@ -74,9 +74,6 @@ class Router:
     Args:
         arena_capacity_bytes: global byte cap of the shared arena budget
             every endpoint leases from (``None`` = unbounded).
-        max_arenas: global cap on live arenas across all endpoints (``None``
-            = unbounded; the legacy engine shim passes 4, the old per-module
-            pool bound).
         num_workers: executor workers for :meth:`serve` (≥ 1).  Workers run
             batches from *different* endpoints concurrently; per-endpoint
             execution stays serialised, so results are bit-identical to
@@ -87,15 +84,12 @@ class Router:
         self,
         *,
         arena_capacity_bytes: Optional[int] = None,
-        max_arenas: Optional[int] = None,
         num_workers: int = 1,
     ):
         if num_workers < 1:
             raise ValueError("Router needs num_workers >= 1")
         self.num_workers = int(num_workers)
-        self.budget = SharedArenaBudget(
-            capacity_bytes=arena_capacity_bytes, max_arenas=max_arenas
-        )
+        self.budget = SharedArenaBudget(capacity_bytes=arena_capacity_bytes)
         self._endpoints: Dict[str, Endpoint] = {}
         self._wrr = WeightedRoundRobin()
         #: Endpoint name per executed batch, in execution order — the
@@ -154,7 +148,11 @@ class Router:
                 disables).
             admission: optional rate/queue/deadline limits enforced on this
                 endpoint's stream (see :class:`AdmissionPolicy`).
-            Remaining arguments mirror the legacy ``ServingEngine``.
+            in_dim / out_dim / options / seed: compilation of a named
+                model (see :func:`~repro.serving.endpoint.resolve_module`).
+            features / fanouts / sampler_seed: the endpoint's feature store
+                and neighbor sampler (see :class:`Endpoint`).
+            max_batch_size / batch_timeout_s: micro-batching policy.
         """
         if name in self._endpoints:
             raise ValueError(f"endpoint {name!r} is already registered")
@@ -240,17 +238,20 @@ class Router:
         """Synchronous single query: ``(len(seeds), out_dim)`` output rows.
 
         Flushes the router, so any previously submitted requests (on any
-        endpoint) complete too.  Raises if the endpoint's admission policy
-        sheds the query (synchronous callers cannot retry transparently).
+        endpoint) complete too.  Raises ``RuntimeError`` naming the endpoint
+        and the status when the query comes back without a result: shed at
+        submit (rate / queue bound), shed at dispatch (its deadline expired
+        behind earlier batches), or failed (synchronous callers cannot retry
+        transparently).
         """
         request = self.submit(endpoint_name, seeds)
-        if request.shed:
+        if not request.shed:
+            self.flush()
+        if request.result is None:
             raise RuntimeError(
-                f"endpoint {endpoint_name!r} shed the query ({request.status}); "
+                f"endpoint {endpoint_name!r} did not serve the query ({request.status}); "
                 "back off and retry, or loosen its AdmissionPolicy"
             )
-        self.flush()
-        assert request.result is not None
         return request.result
 
     # ------------------------------------------------------------------
@@ -285,42 +286,49 @@ class Router:
     # scheduling
     # ------------------------------------------------------------------
     def flush(self) -> List[ServingRequest]:
-        """Drain every endpoint's queue now, fairly; returns completed requests.
+        """Drain every endpoint's queue now, fairly; returns executed requests.
 
-        Each endpoint's pending requests are chunked into batches of at most
-        its ``max_batch_size`` in submission order (no timeout logic — they
-        are all already here), and the batch queues drain through weighted
-        round-robin.  As on the legacy flush path, request latency is the
-        batch's service time — queueing delay is a :meth:`serve` concept.
+        The pending requests run through :func:`run_serving_loop` on one
+        worker and a fresh virtual clock, with a zero batch timeout and no
+        admission (they were admitted at :meth:`submit`).  Requests with equal
+        arrival times — :meth:`submit`'s default — form batches of at most
+        ``max_batch_size`` in submission order; a request submitted with a
+        *later* ``arrival_s`` starts a new batch, as in :meth:`serve`.
+        Batches drain under weighted round-robin, and a request whose
+        admission deadline expired before its batch was dispatched is shed
+        (``"shed-deadline"``, not returned).  Request latency is the batch's
+        service time — queueing delay is a :meth:`serve` concept.
         """
-        queues: Dict[str, Deque[ScheduledBatch]] = {}
-        for name, endpoint in self._endpoints.items():
+        arrivals: List[Tuple[str, ServingRequest]] = []
+        lanes: Dict[str, LaneSpec] = {}
+        for name, endpoint in self._endpoints.items():  # registration order: WRR ties
             pending = endpoint.drain_pending()
             if pending:
-                queues[name] = deque(
-                    ScheduledBatch(endpoint=name, requests=pending[start:start + endpoint.max_batch_size])
-                    for start in range(0, len(pending), endpoint.max_batch_size)
-                )
-        if not queues:
+                lanes[name] = LaneSpec(max_batch_size=endpoint.max_batch_size, batch_timeout_s=0.0)
+                arrivals.extend((name, request) for request in pending)
+        if not lanes:
             return []
-        completed: List[ServingRequest] = []
+        service_s = 0.0
 
         def execute(name: str, requests: List[ServingRequest]) -> float:
-            elapsed = self._execute(name, requests)
-            endpoint = self._endpoints[name]
-            for request in requests:
-                request.latency_s = elapsed
-                endpoint.stats.record_outcome(request.status)
-                if request.done:
-                    endpoint.stats.record_latency(elapsed)
-            completed.extend(requests)
-            return elapsed
+            nonlocal service_s
+            service_s = self._execute(name, requests)
+            return service_s
 
-        result = run_event_loop(
-            queues, self._wrr, execute, clock=VirtualClock(), stamp_latency=False
+        def on_complete(name: str, requests: List[ServingRequest], finish_s: float) -> None:
+            stats = self._endpoints[name].stats
+            for request in requests:  # one worker: runs right after its execute
+                request.latency_s = service_s
+                if request.done:
+                    stats.record_latency(service_s)
+
+        result = run_serving_loop(
+            arrivals, lanes, self._wrr, execute, clock=VirtualClock(), on_complete=on_complete
         )
         self._log_executions(result.execution_order)
-        return completed
+        for request in result.completed + result.shed:
+            self._endpoints[request.endpoint].stats.record_outcome(request.status)
+        return result.completed
 
     def _log_executions(self, order: List[str]) -> None:
         self.execution_log.extend(order)
@@ -361,7 +369,7 @@ class Router:
         :attr:`last_served`, stream order.
         """
         # Requests admitted before this call complete first, so none are
-        # left behind (same contract as the legacy engine).
+        # left behind.
         self.flush()
         self.last_served = []
         arrivals: List[Tuple[str, ServingRequest]] = []

@@ -1,6 +1,9 @@
 """The serving event loop: clocks, fairness, and cross-endpoint scheduling.
 
-The router separates three concerns the legacy engine fused into one method:
+One loop, :func:`run_serving_loop`, schedules every request the router
+executes — :meth:`~repro.serving.router.Router.serve`'s timed streams and
+:meth:`~repro.serving.router.Router.flush`'s already-admitted queues alike.
+It separates three concerns:
 
 * **Clocks** — :class:`VirtualClock` replays a timestamped request stream in
   virtual time (arrivals are simulated offsets; service time is still the
@@ -10,13 +13,12 @@ The router separates three concerns the legacy engine fused into one method:
   deployment mode.  Both expose ``now`` / ``advance_to`` / ``advance_by`` so
   the loop is clock-agnostic.
 
-* **Batching** — :func:`partition_into_batches` applies the micro-batching
-  policy of *one* endpoint to its (arrival-sorted) stream: a batch closes
-  when it reaches ``max_batch_size`` (ready at its last member's arrival) or
-  when admitting the next request would make the batch's oldest member wait
-  longer than ``batch_timeout_s`` (ready when that window expires).  This is
-  exactly the legacy ``ServingEngine.serve`` rule, factored out so every
-  endpoint batches independently of its neighbours.
+* **Batching** — each endpoint (a *lane*, :class:`LaneSpec`) micro-batches
+  its own arrivals: a batch closes when it reaches ``max_batch_size`` (ready
+  at its last member's arrival) or when admitting the next request would
+  make the batch's oldest member wait longer than ``batch_timeout_s`` (ready
+  when that window expires).  Membership depends only on admitted arrival
+  times, so every endpoint batches independently of its neighbours.
 
 * **Fairness** — :class:`WeightedRoundRobin` implements smooth WRR (the
   nginx algorithm): each ready endpoint accumulates its weight, the largest
@@ -24,10 +26,6 @@ The router separates three concerns the legacy engine fused into one method:
   active weight.  A weight-3 endpoint gets ~3 of every 4 contended slots,
   interleaved (A A B A, not A A A B), and a weight-1 endpoint is never
   starved.
-
-:func:`run_event_loop` ties them together: admit whichever batches are ready
-at the current clock, pick among them by WRR, execute, advance the clock by
-the measured service time, repeat.
 """
 
 from __future__ import annotations
@@ -128,101 +126,6 @@ class ScheduledBatch:
     ready_s: float = 0.0
 
 
-def partition_into_batches(
-    requests: Sequence[ServingRequest],
-    endpoint: str,
-    max_batch_size: int,
-    batch_timeout_s: float,
-) -> List[ScheduledBatch]:
-    """Split one endpoint's request stream into timed micro-batches.
-
-    ``requests`` must belong to one endpoint; they are sorted by arrival
-    here.  The rule matches the legacy engine exactly (see module docstring),
-    so a one-endpoint router reproduces the seed batching bit for bit.
-    """
-    ordered = sorted(requests, key=lambda request: request.arrival_s)
-    batches: List[ScheduledBatch] = []
-    index = 0
-    while index < len(ordered):
-        batch = [ordered[index]]
-        window_end = ordered[index].arrival_s + batch_timeout_s
-        index += 1
-        while (
-            index < len(ordered)
-            and len(batch) < max_batch_size
-            and ordered[index].arrival_s <= window_end
-        ):
-            batch.append(ordered[index])
-            index += 1
-        ready = batch[-1].arrival_s if len(batch) == max_batch_size else window_end
-        batches.append(ScheduledBatch(endpoint=endpoint, requests=batch, ready_s=ready))
-    return batches
-
-
-@dataclass
-class EventLoopResult:
-    """What one :func:`run_event_loop` call did, for reports and tests."""
-
-    execution_order: List[str] = field(default_factory=list)
-    completed: List[ServingRequest] = field(default_factory=list)
-    final_clock_s: float = 0.0
-
-
-def run_event_loop(
-    queues: Mapping[str, Deque[ScheduledBatch]],
-    wrr: WeightedRoundRobin,
-    execute: Callable[[str, List[ServingRequest]], float],
-    clock=None,
-    on_complete: Optional[Callable[[str, List[ServingRequest], float], None]] = None,
-    stamp_latency: bool = True,
-) -> EventLoopResult:
-    """Drain per-endpoint batch queues through one shared executor.
-
-    Args:
-        queues: endpoint name → FIFO of :class:`ScheduledBatch` (each queue
-            must be internally arrival-ordered; iteration order of the
-            mapping defines WRR tie-breaking).
-        wrr: the fairness policy (every queue's endpoint must be registered).
-        execute: ``(endpoint, requests) -> measured service seconds``.
-        clock: a :class:`VirtualClock` (default) or :class:`MonotonicClock`.
-        on_complete: called after each batch with ``(endpoint, requests,
-            finish_s)``; per-request latency is already set to
-            ``finish_s - arrival_s`` when it runs.
-        stamp_latency: set each request's ``latency_s`` to queueing + service
-            (``finish_s - arrival_s``).  The flush path passes ``False`` —
-            its contract is service time only, stamped by its executor.
-    """
-    clock = clock if clock is not None else VirtualClock()
-    result = EventLoopResult()
-    live: Dict[str, Deque[ScheduledBatch]] = {
-        name: queue if isinstance(queue, deque) else deque(queue)
-        for name, queue in queues.items()
-        if queue
-    }
-    while live:
-        now = clock.now()
-        ready = [name for name, queue in live.items() if queue[0].ready_s <= now]
-        if not ready:
-            clock.advance_to(min(queue[0].ready_s for queue in live.values()))
-            continue
-        name = wrr.pick(ready)
-        batch = live[name].popleft()
-        if not live[name]:
-            del live[name]
-        elapsed = execute(name, batch.requests)
-        clock.advance_by(elapsed)
-        finish = clock.now()
-        if stamp_latency:
-            for request in batch.requests:
-                request.latency_s = finish - request.arrival_s
-        result.execution_order.append(name)
-        result.completed.extend(batch.requests)
-        if on_complete is not None:
-            on_complete(name, batch.requests, finish)
-    result.final_clock_s = clock.now()
-    return result
-
-
 # ----------------------------------------------------------------------
 # the online serving loop: arrival-driven batching, admission, N workers
 # ----------------------------------------------------------------------
@@ -285,11 +188,10 @@ def run_serving_loop(
 ) -> ServingLoopResult:
     """The online event loop: admission → batching → WRR dispatch → N workers.
 
-    Unlike :func:`run_event_loop` (which drains pre-partitioned queues), this
-    loop processes *arrival events*: each request is admitted at its arrival
-    time (token bucket / queue bound, when its lane has an
+    The loop processes *arrival events*: each request is admitted at its
+    arrival time (token bucket / queue bound, when its lane has an
     :class:`~repro.serving.admission.AdmissionController`), joins its lane's
-    open micro-batch under exactly the :func:`partition_into_batches` rule —
+    open micro-batch under the size/timeout rule (see the module docstring) —
     batch membership is a pure function of the admitted arrival sequence, so
     replays are deterministic regardless of execution timing — and closed
     batches compete for executor workers under WRR, at most one in-flight
@@ -298,9 +200,10 @@ def run_serving_loop(
     order, and therefore per-request results, identical across worker
     counts).
 
-    With ``workers == 1`` batches execute inline and the loop reproduces the
-    single-threaded ``serve`` path decision-for-decision (same WRR sequence,
-    same clock stops, same latencies).  With ``workers > 1`` batches run on a
+    With ``workers == 1`` batches execute inline, one at a time, in WRR
+    order; the router's ``flush`` drives this mode with zero timeouts, so
+    equal-arrival requests form ``max_batch_size`` chunks in submission
+    order.  With ``workers > 1`` batches run on a
     thread pool while the virtual clock tracks the *parallel* schedule: a
     batch dispatched at virtual time ``t`` with measured service ``s``
     finishes at ``t + s``; completions fold back on the loop thread one at
@@ -323,10 +226,7 @@ def run_serving_loop(
     state = {name: _Lane(spec) for name, spec in lanes.items()}
     lane_index = {name: position for position, name in enumerate(state)}
     events: Deque[Tuple[str, ServingRequest]] = deque(
-        sorted(
-            ((name, request) for name, request in arrivals),
-            key=lambda item: item[1].arrival_s,
-        )
+        sorted(arrivals, key=lambda item: item[1].arrival_s)
     )
     for name, _ in events:
         if name not in state:
@@ -351,7 +251,7 @@ def run_serving_loop(
             request.status = "queued"
         lane.depth += 1
         lane.high_water = max(lane.high_water, lane.depth)
-        # The partition_into_batches rule, applied online: a batch closes when
+        # The batching rule (module docstring): a batch closes when
         # an arrival falls past its oldest member's timeout window (ready at
         # the window's end) or when it reaches max size (ready at the filling
         # arrival).  Membership depends only on admitted arrival times.
@@ -489,7 +389,7 @@ def run_serving_loop(
             process_due(now)
             if dispatch_one(now):
                 continue
-            if fold_finished(block=False):
+            if in_flight and fold_finished(block=False):
                 continue
             # Nothing due: find the next known virtual event.
             candidates = []

@@ -57,7 +57,7 @@ def percentile(values: Sequence[float], q: float) -> float:
 
 @dataclass
 class EngineStats:
-    """Accumulated serving telemetry of one engine or endpoint.
+    """Accumulated serving telemetry of one endpoint.
 
     ``arena`` optionally references the owner's arena counters — an
     :class:`~repro.runtime.planner.ArenaPoolStats` or a
@@ -159,7 +159,7 @@ class EngineStats:
 
         Admission counters appear only once admission control has actually
         touched the endpoint (``record_outcome`` calls), so endpoints without
-        a policy keep the legacy summary shape.
+        a policy keep the plain summary shape.
         """
         out = self._base_summary()
         if self.admitted or self.total_shed or self.queue_depth_high_water:

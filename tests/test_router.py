@@ -3,22 +3,20 @@ fairness (weighted round-robin), shared-arena-budget eviction ordering,
 block-cache hit/invalidation semantics, and multi-tenant result isolation.
 """
 
-from collections import deque
-
 import numpy as np
 import pytest
 
 from repro.frontend import CompilerOptions, compile_model
 from repro.graph import random_hetero_graph
+from repro.models import REFERENCE_CLASSES
 from repro.runtime import GraphContext, SharedArenaBudget
 from repro.serving import (
+    AdmissionPolicy,
+    LaneSpec,
     Router,
-    ScheduledBatch,
-    ServingEngine,
     VirtualClock,
     WeightedRoundRobin,
-    partition_into_batches,
-    run_event_loop,
+    run_serving_loop,
 )
 from repro.serving.endpoint import ServingRequest
 
@@ -42,6 +40,16 @@ def graph_b():
 
 def _router(**kwargs) -> Router:
     return Router(**kwargs)
+
+
+def _stub_executor(log, service_s=0.0, clock=None):
+    """A ``run_serving_loop`` executor that logs ``(lane, batch size, clock)``."""
+    def execute(name, requests):
+        log.append((name, len(requests), clock.now() if clock is not None else None))
+        for request in requests:
+            request.result = request.seeds
+        return service_s
+    return execute
 
 
 def _register(router, name, graph, model="rgcn", **overrides):
@@ -70,6 +78,10 @@ class TestRegistration:
             _register(router, "p", graph_a, priority=0)
         with pytest.raises(ValueError, match="max_batch_size"):
             _register(router, "m", graph_a, max_batch_size=0)
+        with pytest.raises(ValueError, match="batch_timeout_s"):
+            _register(router, "t", graph_a, batch_timeout_s=-1.0)
+        with pytest.raises(ValueError, match="feature store"):
+            _register(router, "f", graph_a, features=np.zeros((graph_a.num_nodes, DIM + 2)))
         with pytest.raises(ValueError, match="block_cache_size"):
             _register(router, "c", graph_a, block_cache_size=-1)
         with pytest.raises(ValueError):
@@ -157,20 +169,29 @@ class TestFairness:
         window = order[:4]
         assert window.count("heavy") == 3 and window.count("light") == 1
 
-    def test_event_loop_advances_virtual_clock_to_arrivals(self):
-        executed = []
+    def test_flush_execution_order_is_smooth_wrr(self, graph_a, graph_b):
+        router = _router()
+        _register(router, "heavy", graph_a, priority=3, max_batch_size=2)
+        _register(router, "light", graph_b, priority=1, max_batch_size=2)
+        for index in range(8):
+            router.submit("heavy", [index, index + 10])
+            router.submit("light", [index, index + 20])
+        router.flush()
+        assert router.execution_log == [
+            "heavy", "heavy", "light", "heavy", "heavy", "light", "light", "light",
+        ]
 
-        def execute(name, requests):
-            executed.append(name)
-            return 0.001
-
+    def test_serving_loop_advances_virtual_clock_to_arrivals(self):
         wrr = WeightedRoundRobin()
         wrr.register("a", 1)
-        queue = deque([
-            ScheduledBatch("a", [ServingRequest(seeds=np.array([0]), arrival_s=0.5)], ready_s=0.5),
-        ])
-        result = run_event_loop({"a": queue}, wrr, execute, clock=VirtualClock())
-        assert executed == ["a"]
+        request = ServingRequest(seeds=np.array([0]), arrival_s=0.5)
+        clock = VirtualClock()
+        executed = []
+        result = run_serving_loop(
+            [("a", request)], {"a": LaneSpec(max_batch_size=8, batch_timeout_s=0.0)}, wrr,
+            _stub_executor(executed, service_s=0.001, clock=clock), clock=clock,
+        )
+        assert executed == [("a", 1, 0.5)]
         # Clock jumped to the arrival, then accounted the measured service.
         assert result.final_clock_s == pytest.approx(0.501)
         assert result.completed[0].latency_s == pytest.approx(0.001)
@@ -187,14 +208,144 @@ class TestFairness:
         latencies = router.endpoint("rt").stats.request_latencies
         assert len(latencies) == 2 and all(lat > 0 for lat in latencies)
 
-    def test_partition_matches_legacy_batching_rule(self):
-        requests = [ServingRequest(seeds=np.array([i]), arrival_s=t)
-                    for i, t in enumerate([0.0, 0.0005, 0.001, 0.5, 1.0])]
-        batches = partition_into_batches(requests, "e", max_batch_size=8, batch_timeout_s=0.002)
-        assert [len(b.requests) for b in batches] == [3, 1, 1]
+    def test_serving_loop_batches_by_size_and_timeout(self):
+        wrr = WeightedRoundRobin()
+        wrr.register("e", 1)
+        arrivals = [
+            ("e", ServingRequest(seeds=np.array([i]), arrival_s=t))
+            for i, t in enumerate([0.0, 0.0005, 0.001, 0.5, 1.0])
+        ]
+        clock = VirtualClock()
+        executed = []
+        run_serving_loop(
+            arrivals, {"e": LaneSpec(max_batch_size=8, batch_timeout_s=0.002)}, wrr,
+            _stub_executor(executed, clock=clock), clock=clock,
+        )
+        assert [size for _, size, _ in executed] == [3, 1, 1]
         # Non-full batches become ready when the oldest member's window expires.
-        assert batches[0].ready_s == pytest.approx(0.002)
-        assert batches[1].ready_s == pytest.approx(0.502)
+        assert [ready for _, _, ready in executed] == pytest.approx([0.002, 0.502, 1.002])
+
+
+class TestFlush:
+    def test_flush_respects_max_batch_size(self, graph_a):
+        router = _router()
+        endpoint = _register(router, "f", graph_a, max_batch_size=3)
+        for index in range(7):
+            router.submit("f", [index, index + 20])
+        completed = router.flush()
+        assert len(completed) == 7 and all(request.done for request in completed)
+        assert [record.num_requests for record in endpoint.stats.batches] == [3, 3, 1]
+
+    def test_later_arrival_starts_a_new_batch(self, graph_a):
+        router = _router()
+        endpoint = _register(router, "f", graph_a, max_batch_size=8)
+        for arrival_s in (0.0, 0.0, 1.0, 1.0):
+            router.submit("f", [1, 2], arrival_s=arrival_s)
+        router.flush()
+        assert [record.num_requests for record in endpoint.stats.batches] == [2, 2]
+
+    def test_flush_latency_is_batch_service_time(self, graph_a):
+        router = _router()
+        endpoint = _register(router, "f", graph_a)
+        request = router.submit("f", [3, 4], arrival_s=0.5)
+        router.flush()
+        record = endpoint.stats.batches[-1]
+        assert request.latency_s == record.sample_seconds + record.execute_seconds > 0
+        assert router.report()["endpoints"]["f"]["latency_p50_ms"] > 0
+
+    def test_batched_requests_scatter_back_per_request(self, graph_a):
+        seed_sets = [(1, 2), (50, 61, 72), (2, 100)]
+        singles = []
+        for seeds in seed_sets:
+            single = _router()
+            _register(single, "one", graph_a)
+            singles.append(single.query("one", list(seeds)))
+        router = _router()
+        _register(router, "batched", graph_a, max_batch_size=8)
+        requests = [router.submit("batched", list(seeds)) for seeds in seed_sets]
+        router.flush()
+        assert router.endpoint("batched").stats.num_batches == 1
+        for request, expected in zip(requests, singles):
+            assert request.done
+            np.testing.assert_allclose(request.result, expected, atol=1e-10)
+
+    def test_duplicate_seeds_within_and_across_requests(self, graph_a):
+        router = _router()
+        endpoint = _register(router, "dup", graph_a, max_batch_size=8)
+        request_a = router.submit("dup", [7, 7, 23])
+        request_b = router.submit("dup", [23, 7])
+        router.flush()
+        np.testing.assert_allclose(request_a.result[0], request_a.result[1])
+        np.testing.assert_allclose(request_a.result[0], request_b.result[1])
+        np.testing.assert_allclose(request_a.result[2], request_b.result[0])
+        # One batch, deduplicated union of seeds.
+        assert endpoint.stats.batches[-1].num_requests == 2
+        assert endpoint.stats.batches[-1].num_seeds == 5
+
+    def test_query_matches_full_graph_reference_at_seeds(self, graph_a):
+        router = _router()
+        endpoint = _register(router, "ref", graph_a, seed=6)
+        reference = REFERENCE_CLASSES["rgcn"](graph_a, DIM, DIM, seed=6)
+        reference.load_parameters(
+            {k: p.data for k, p in endpoint.module.parameters_by_name.items()}
+        )
+        full = reference.forward(endpoint.features)
+        seeds = np.array([3, 44, 91, 110])
+        rows = router.query("ref", seeds)
+        assert rows.shape == (len(seeds), DIM)
+        np.testing.assert_allclose(rows, full[next(iter(full))].data[seeds], atol=1e-8)
+
+    def test_query_shed_at_dispatch_raises(self, graph_a):
+        router = _router()
+        endpoint = _register(router, "slo", graph_a, max_batch_size=1,
+                             admission=AdmissionPolicy(deadline_s=1e-9))
+        # The first batch dispatches at t=0 and takes real service time, so
+        # the query's batch is dispatched past its deadline.
+        ahead = router.submit("slo", [1, 2])
+        with pytest.raises(RuntimeError, match="endpoint 'slo'.*shed-deadline"):
+            router.query("slo", [3, 4])
+        assert ahead.done
+        assert endpoint.stats.summary()["shed_deadline"] == 1
+
+    def test_cache_disabled_endpoint_skips_per_batch_replay_checks(self, graph_a):
+        router = _router()
+        endpoint = _register(
+            router, "nocache", graph_a,
+            options=CompilerOptions(emit_backward=False, enable_compilation_cache=False),
+        )
+        router.query("nocache", [1, 2])
+        router.query("nocache", [3, 4])
+        # No per-batch recompiles, and replay tracking is off rather than
+        # reporting misleading misses.
+        assert endpoint.plan_recompiles == 0 and endpoint.plan_replays == 0
+        assert endpoint.stats.plan_replay_rate is None
+
+
+class TestServe:
+    def test_serve_burst_fills_batches(self, graph_a):
+        router = _router()
+        endpoint = _register(router, "s", graph_a, max_batch_size=4)
+        report = router.serve([("s", [i, i + 30]) for i in range(8)])["endpoints"]["s"]
+        assert report["batches"] == 2
+        assert report["mean_occupancy"] == 4.0
+        assert report["plan_replay_rate"] == 1.0
+        assert len(endpoint.stats.request_latencies) == 8
+
+    def test_serve_timeout_splits_sparse_arrivals(self, graph_a):
+        router = _router()
+        _register(router, "s", graph_a, max_batch_size=8, batch_timeout_s=0.001)
+        # Far apart vs the 1 ms timeout.
+        stream = [("s", [i], arrival) for i, arrival in enumerate([0.0, 0.5, 1.0, 1.5])]
+        report = router.serve(stream)["endpoints"]["s"]
+        assert report["batches"] == 4
+        assert report["mean_occupancy"] == 1.0
+
+    def test_serve_flushes_previously_submitted_requests_first(self, graph_a):
+        router = _router()
+        _register(router, "s", graph_a)
+        early = router.submit("s", [5, 6])
+        router.serve([("s", [i]) for i in range(3)])
+        assert early.done and early.result.shape == (2, DIM)
 
 
 class TestSharedBudget:
@@ -304,7 +455,8 @@ class TestBlockCache:
     def test_hot_seed_sets_hit_and_results_match_fresh_sampling(self, graph_a):
         router = _router()
         _register(router, "hot", graph_a, block_cache_size=4)
-        first = router.query("hot", [3, 7, 11])
+        first = router.query("hot", [3, 7, 11])  # default feature store
+        assert first.shape == (3, DIM)
         again = router.query("hot", [3, 7, 11])
         endpoint = router.endpoint("hot")
         assert endpoint.block_cache_hits == 1 and endpoint.block_cache_misses == 1
@@ -435,44 +587,33 @@ class TestMultiTenantIsolation:
         assert report["aggregate"]["endpoints"] == 2
         assert report["arena_budget"]["live_arenas"] >= 1
         for row in report["endpoints"].values():
-            assert "arena_hits" in row and "arena_pool_hit_rate" in row
+            for field in [
+                "requests", "batches", "mean_occupancy", "throughput_rps",
+                "seeds_per_s", "latency_p50_ms", "latency_p95_ms",
+                "plan_replay_rate", "max_batch_size", "plan_replays",
+                "plan_recompiles", "arena_hits", "arena_misses",
+                "arena_evictions", "arena_pool_hit_rate",
+            ]:
+                assert field in row, field
+            assert row["throughput_rps"] > 0 and row["arena_misses"] >= 1
+            assert row["latency_p95_ms"] >= row["latency_p50_ms"]
+            assert row["plan_replays"] == row["batches"] and row["plan_recompiles"] == 0
 
     def test_reset_stats_keeps_warm_state(self, graph_a):
         router = _router()
         _register(router, "a", graph_a, block_cache_size=4)
-        router.query("a", [1, 2])
+        before = router.query("a", [1, 2])
         endpoint = router.endpoint("a")
-        assert endpoint.stats.num_batches == 1
+        assert endpoint.stats.num_batches == 1 and endpoint.plan_replays == 1
         cached = endpoint.block_cache_len
+        misses = router.budget.tenant_stats("a").misses
+        assert misses >= 1 and router.budget.live_arenas >= 1
         router.reset_stats()
         assert endpoint.stats.num_batches == 0
+        assert endpoint.plan_replays == 0 and endpoint.plan_recompiles == 0
         assert endpoint.block_cache_len == cached  # warm cache survives
         assert router.execution_log == []
-
-
-class TestEngineShim:
-    def test_engine_is_a_one_endpoint_router(self, graph_a):
-        engine = ServingEngine("rgcn", graph_a, in_dim=DIM, out_dim=DIM,
-                               max_batch_size=4, seed=3, sampler_seed=1)
-        assert engine.router.endpoint_names == ["default"]
-        # The shim disables the block cache: legacy engines resample every
-        # batch, and the shim's contract is bit-identical behaviour.
-        assert engine.router.endpoint("default").block_cache_size == 0
-
-    def test_engine_results_match_router_endpoint(self, graph_a):
-        engine = ServingEngine("rgcn", graph_a, in_dim=DIM, out_dim=DIM,
-                               max_batch_size=4, seed=3, sampler_seed=1)
-        router = _router()
-        _register(router, "same", graph_a, seed=3, block_cache_size=0)
-        np.testing.assert_array_equal(
-            engine.query([2, 9, 40]), router.query("same", [2, 9, 40])
-        )
-
-    def test_engine_report_exposes_budget_counters(self, graph_a):
-        engine = ServingEngine("rgcn", graph_a, in_dim=DIM, out_dim=DIM)
-        engine.query([0, 1])
-        report = engine.report()
-        for key in ("arena_hits", "arena_misses", "arena_evictions",
-                    "arena_pool_hit_rate", "live_arenas"):
-            assert key in report, key
-        assert report["arena_misses"] >= 1
+        np.testing.assert_array_equal(router.query("a", [1, 2]), before)
+        assert endpoint.stats.num_batches == 1  # reset really restarted
+        # Same-bucket re-query leases the warm arena: no new build.
+        assert router.budget.tenant_stats("a").misses == misses

@@ -12,6 +12,9 @@ to be silently wrong (the hits sum consumed it, the misses sum saw nothing,
 and the hit rate came out 1.0 regardless of the real misses).
 """
 
+import numpy as np
+import pytest
+
 from repro.serving.stats import BatchRecord, EngineStats, aggregate_summary, percentile
 from repro.train.collective import CollectiveStats
 from repro.train.stats import DistributedTrainStats, EpochStats, ShardEpochStats, TrainStats
@@ -129,6 +132,35 @@ class TestServingStatsZeroRecords:
         assert percentile([3.0], 95) == 3.0
         assert percentile([1.0, 2.0], 200) == 2.0  # q clamped into [0, 100]
         assert percentile([1.0, 2.0], -5) == 1.0
+
+    def test_percentile_interpolates_and_matches_numpy(self):
+        assert percentile([1.0, 2.0, 3.0, 4.0], 50) == pytest.approx(2.5)
+        values = [0.5, 0.1, 0.9, 0.3, 0.7, 0.2]
+        for q in (0, 10, 25, 50, 75, 90, 100):
+            assert percentile(values, q) == pytest.approx(float(np.percentile(values, q)))
+
+    def test_percentiles_well_defined_for_zero_and_one_record(self):
+        for q in (0, 0.1, 50, 95, 99.9, 100):
+            assert percentile([], q) == 0.0
+            assert percentile([3.5], q) == 3.5
+        stats = EngineStats()
+        assert stats.latency_percentile(95) == 0.0
+        stats.record_latency(0.25)
+        assert stats.latency_percentile(0) == 0.25
+        assert stats.latency_percentile(100) == 0.25
+        summary = stats.summary()  # must not raise on a 1-record history
+        assert summary["latency_p95_ms"] == pytest.approx(250.0)
+
+    def test_one_batch_rates_and_unattached_report(self):
+        stats = EngineStats()
+        stats.record_batch(BatchRecord(
+            num_requests=2, num_seeds=3, block_nodes=5, block_edges=4,
+            sample_seconds=0.5, execute_seconds=0.5, plan_replayed=True,
+        ))
+        assert stats.requests_per_second == pytest.approx(2.0)
+        assert stats.plan_replay_rate == 1.0
+        # Without an arena attachment the report is just the summary.
+        assert "arena_hits" not in stats.report()
 
     def test_aggregate_of_no_endpoints(self):
         summary = aggregate_summary([])
