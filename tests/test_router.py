@@ -112,6 +112,25 @@ class TestRegistration:
         )
         assert router.endpoint("adopted").stats.plan_replay_rate is None
 
+    def test_default_feature_store_makes_quickstart_run(self, graph_a):
+        router = _router()
+        endpoint = router.register("quick", "rgcn", graph_a, in_dim=DIM, out_dim=DIM)
+        assert endpoint.features.shape == (graph_a.num_nodes, DIM)
+        assert router.query("quick", [0, 1]).shape == (2, DIM)
+
+    def test_endpoint_names_and_lookup(self, graph_a, graph_b):
+        router = _router()
+        first = _register(router, "first", graph_a)
+        second = _register(router, "second", graph_b, model="rgat")
+        assert router.endpoint_names == ["first", "second"]
+        assert "first" in router and "third" not in router
+        assert router.endpoint("first") is first
+        assert router.endpoint("second").module is second.module
+
+    def test_num_workers_must_be_positive(self):
+        with pytest.raises(ValueError, match="num_workers"):
+            Router(num_workers=0)
+
 
 class TestSeedValidation:
     def test_out_of_range_seeds_fail_at_submit_naming_endpoint_and_ids(self, graph_a):
@@ -181,6 +200,16 @@ class TestFairness:
             "heavy", "heavy", "light", "heavy", "heavy", "light", "light", "light",
         ]
 
+    def test_flush_alternates_equal_priority_endpoints(self, graph_a, graph_b):
+        router = _router()
+        _register(router, "a", graph_a, max_batch_size=1)
+        _register(router, "b", graph_b, max_batch_size=1)
+        for index in range(3):
+            router.submit("a", [index])
+            router.submit("b", [index])
+        router.flush()
+        assert router.execution_log == ["a", "b", "a", "b", "a", "b"]
+
     def test_serving_loop_advances_virtual_clock_to_arrivals(self):
         wrr = WeightedRoundRobin()
         wrr.register("a", 1)
@@ -227,6 +256,12 @@ class TestFairness:
 
 
 class TestFlush:
+    def test_flush_with_nothing_pending_returns_nothing(self, graph_a):
+        router = _router()
+        endpoint = _register(router, "idle", graph_a)
+        assert router.flush() == []
+        assert router.execution_log == [] and endpoint.stats.num_batches == 0
+
     def test_flush_respects_max_batch_size(self, graph_a):
         router = _router()
         endpoint = _register(router, "f", graph_a, max_batch_size=3)
@@ -346,6 +381,29 @@ class TestServe:
         early = router.submit("s", [5, 6])
         router.serve([("s", [i]) for i in range(3)])
         assert early.done and early.result.shape == (2, DIM)
+
+    def test_last_served_keeps_stream_order_and_results(self, graph_a):
+        router = _router()
+        _register(router, "s", graph_a, max_batch_size=2)
+        seed_sets = [[4, 9], [1], [30, 2, 30]]
+        router.serve([("s", seeds) for seeds in seed_sets])
+        assert [list(request.seeds) for request in router.last_served] == seed_sets
+        for request, seeds in zip(router.last_served, seed_sets):
+            assert request.done
+            np.testing.assert_array_equal(request.result, router.query("s", seeds))
+
+    def test_serve_rejects_unknown_endpoint_in_stream(self, graph_a):
+        router = _router()
+        _register(router, "s", graph_a)
+        with pytest.raises(ValueError, match="unknown endpoint 'ghost'"):
+            router.serve([("s", [1]), ("ghost", [2])])
+        assert router.endpoint("s").stats.num_batches == 0
+
+    def test_serve_validates_stream_seeds_naming_the_endpoint(self, graph_a):
+        router = _router()
+        _register(router, "s", graph_a)
+        with pytest.raises(ValueError, match=r"endpoint 's'.*\[999\]"):
+            router.serve([("s", [1]), ("s", [999], 0.5)])
 
 
 class TestSharedBudget:
@@ -598,6 +656,24 @@ class TestMultiTenantIsolation:
             assert row["throughput_rps"] > 0 and row["arena_misses"] >= 1
             assert row["latency_p95_ms"] >= row["latency_p50_ms"]
             assert row["plan_replays"] == row["batches"] and row["plan_recompiles"] == 0
+
+    def test_report_includes_attached_arena_counters(self, graph_a):
+        router = _router()
+        endpoint = _register(router, "a", graph_a)
+        router.query("a", [1, 2, 3])
+        report = endpoint.stats.report()
+        for key in ("arena_hits", "arena_misses", "arena_evictions", "arena_pool_hit_rate"):
+            assert key in report, key
+        assert report["arena_misses"] == router.budget.tenant_stats("a").misses >= 1
+
+    def test_results_match_after_reset_and_reuse(self, graph_a):
+        router = _router()
+        endpoint = _register(router, "a", graph_a, block_cache_size=0)
+        before = router.query("a", np.array([5, 80]))
+        router.reset_stats()
+        after = router.query("a", np.array([5, 80]))
+        np.testing.assert_array_equal(before, after)
+        assert endpoint.stats.num_batches == 1 and endpoint.block_cache_misses == 0
 
     def test_reset_stats_keeps_warm_state(self, graph_a):
         router = _router()

@@ -139,6 +139,19 @@ class TestServingStatsZeroRecords:
         for q in (0, 10, 25, 50, 75, 90, 100):
             assert percentile(values, q) == pytest.approx(float(np.percentile(values, q)))
 
+    def test_out_of_range_q_is_clamped_not_an_index_error(self):
+        for length in range(2, 6):
+            values = [float(v) for v in range(length, 0, -1)]
+            for q in (-1e9, -10, -0.5):
+                assert percentile(values, q) == 1.0
+            for q in (100.5, 150, 1e9):
+                assert percentile(values, q) == float(length)
+
+    def test_percentile_matches_numpy_on_longer_histories(self):
+        values = np.random.default_rng(5).exponential(size=37).tolist()
+        for q in np.linspace(0.0, 100.0, 21):
+            assert percentile(values, q) == pytest.approx(float(np.percentile(values, q)))
+
     def test_percentiles_well_defined_for_zero_and_one_record(self):
         for q in (0, 0.1, 50, 95, 99.9, 100):
             assert percentile([], q) == 0.0
