@@ -141,7 +141,7 @@ def test_one_artifact_serves_many_block_sizes_with_zero_recompiles():
     print()
     print(format_table(rows, title="One compiled artefact, many block sizes — zero recompiles"))
 
-    pool = module.arena_pool
+    pool = module.arena_source
     # One pooled lease per block (the default binding keeps a private,
     # exact-size arena and never touches the pool).
     assert pool is not None and pool.stats.lookups == len(blocks)

@@ -12,8 +12,10 @@ Layout: one JSON file per artifact under ``~/.cache/repro/codegen/`` (or
 ``$REPRO_CODEGEN_CACHE``), holding the source text, its SHA-256, and the
 ``marshal``-serialised code object.  Loads verify the format version, the
 interpreter version (``marshal`` is CPython-version-specific), and the source
-hash; any mismatch or corruption is a plain miss — the artifact is
-regenerated, never trusted.  Keys fold in a fingerprint of the emitter
+hash; any mismatch or corruption is a miss — the artifact is regenerated,
+never trusted — that also counts in ``stats()["corrupt"]`` and warns once
+per process, so a damaged cache directory does not cost compile time
+unnoticed.  Keys fold in a fingerprint of the emitter
 modules themselves, so editing the generators invalidates stale artifacts
 automatically.
 
@@ -31,6 +33,7 @@ import marshal
 import os
 import sys
 import threading
+import warnings
 from pathlib import Path
 from types import CodeType
 from typing import Callable, Dict, List, Optional, Tuple
@@ -40,6 +43,24 @@ CACHE_ENV = "REPRO_CODEGEN_CACHE"
 
 #: Bumped when the on-disk record layout changes; old records become misses.
 ARTIFACT_FORMAT_VERSION = 1
+
+#: Whether this process has already warned about a corrupt artifact file.
+_CORRUPT_WARNED = False
+_CORRUPT_WARNED_LOCK = threading.Lock()
+
+
+def _warn_corrupt_once(path: Path) -> None:
+    global _CORRUPT_WARNED
+    with _CORRUPT_WARNED_LOCK:
+        if _CORRUPT_WARNED:
+            return
+        _CORRUPT_WARNED = True
+    warnings.warn(
+        f"corrupt codegen artifact {path} was regenerated; further corrupt files "
+        "are counted in artifact_cache_stats()['corrupt'] without a warning",
+        RuntimeWarning,
+        stacklevel=3,
+    )
 
 
 def default_cache_dir() -> Path:
@@ -89,13 +110,18 @@ def artifact_key_for(cache_key: object, extra: object = None) -> str:
 
 
 class ArtifactCache:
-    """One artifact directory plus hit/miss/store counters (thread-safe)."""
+    """One artifact directory plus hit/miss/store counters (thread-safe).
+
+    ``corrupt`` counts the misses whose file existed but failed to parse or
+    validate; a missing file is a plain miss.
+    """
 
     def __init__(self, directory: Path | str):
         self.directory = Path(directory)
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+        self.corrupt = 0
         self.stores = 0
         self.errors = 0
 
@@ -108,7 +134,7 @@ class ArtifactCache:
 
         Corrupt files, format/interpreter mismatches, and stale source
         hashes all count as misses — the caller regenerates; nothing here
-        raises.
+        raises — and as ``corrupt``, with one ``RuntimeWarning`` per process.
         """
         try:
             raw = self._path(key).read_text()
@@ -134,6 +160,8 @@ class ArtifactCache:
         except Exception:
             with self._lock:
                 self.misses += 1
+                self.corrupt += 1
+            _warn_corrupt_once(self._path(key))
             return None
         with self._lock:
             self.hits += 1
@@ -184,6 +212,7 @@ class ArtifactCache:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
+                "corrupt": self.corrupt,
                 "stores": self.stores,
                 "errors": self.errors,
             }

@@ -8,8 +8,6 @@ from repro.runtime.module import CompiledRGNNModule
 from repro.runtime.multilayer import MultiLayerModule, StackRun
 from repro.runtime.planner import (
     ArenaLease,
-    ArenaPool,
-    ArenaPoolStats,
     BufferArena,
     BufferLifetime,
     MemoryPlan,
@@ -30,8 +28,6 @@ __all__ = [
     "MultiLayerModule",
     "StackRun",
     "ArenaLease",
-    "ArenaPool",
-    "ArenaPoolStats",
     "BufferArena",
     "BufferLifetime",
     "MemoryPlan",

@@ -6,8 +6,10 @@ the lightweight object that attaches it to a concrete
 :class:`~repro.graph.hetero_graph.HeteroGraph` — the full training graph, or
 a sampled minibatch block.  The binding owns everything graph-sized: the
 preprocessed index arrays (:class:`~repro.runtime.context.GraphContext`), an
-arena lease from the module's pooled planner, the executor, and the last
-forward environment the backward pass re-reads.  Parameters stay on the
+arena lease (pooled from a tenant of a
+:class:`~repro.runtime.planner.SharedArenaBudget`, or the default binding's
+exact-size private arena), the executor, and the last forward environment
+the backward pass re-reads.  Parameters stay on the
 module and are shared by every binding, so serving many sampled blocks
 compiles once, initialises weights once, and binds per request.
 """
@@ -37,8 +39,8 @@ class GraphBinding:
             kernels, and parameters).
         graph: the concrete graph this binding executes against.
         ctx: the graph's preprocessed index arrays.
-        arena_lease: lease on a pooled buffer arena, or ``None`` when memory
-            planning is disabled for the plan.
+        arena_lease: lease on a (pooled or private) buffer arena, or ``None``
+            when memory planning is disabled for the plan.
         label: optional owner tag (e.g. ``"endpoint 'rgat-medium'"``) prefixed
             to validation errors, so in a multi-tenant process a bad input
             names the tenant it belongs to, not just the (shared) graph.

@@ -9,7 +9,9 @@ separate, cheap step: :meth:`CompiledRGNNModule.bind` produces a
 :class:`~repro.runtime.binding.GraphBinding` (graph context + arena lease +
 executor), and one module serves many bindings — the full training graph and
 any number of sampled minibatch blocks — with parameters shared across all
-of them.
+of them.  Pooled arenas come from the module's own one-tenant
+:class:`~repro.runtime.planner.SharedArenaBudget` (``module.arena_source``)
+unless the caller passes another tenant's source, e.g. a serving router's.
 
 For backward compatibility the module keeps the classic bound-module API:
 constructing it with a graph creates a *default binding*, and
@@ -30,9 +32,12 @@ from repro.ir.inter_op.space import Space, ValueInfo
 from repro.ir.intra_op.plan import KernelPlan
 from repro.runtime.binding import GraphBinding
 from repro.runtime.context import GraphContext
-from repro.runtime.planner import ArenaPool, MemoryPlanner
+from repro.runtime.planner import MemoryPlanner, SharedArenaBudget, TenantArenaSource
 from repro.tensor import init as tensor_init
 from repro.tensor.nn import Parameter
+
+#: LRU bound of a module's own arena budget: live size buckets per module.
+MODULE_MAX_ARENAS = 4
 
 
 class CompiledRGNNModule:
@@ -46,9 +51,6 @@ class CompiledRGNNModule:
         seed: RNG seed for parameter initialisation.
         schema: explicit :class:`~repro.graph.schema.GraphSchema` to
             specialise for; required when ``graph`` is ``None``.
-        arena_pool: explicit :class:`~repro.runtime.planner.ArenaPool`;
-            defaults to a module-private pool (modules sharing a cached plan
-            must not share buffers).
     """
 
     def __init__(
@@ -59,7 +61,6 @@ class CompiledRGNNModule:
         seed: int = 0,
         *,
         schema: Optional[GraphSchema] = None,
-        arena_pool: Optional[ArenaPool] = None,
     ):
         if schema is None:
             if graph is None:
@@ -71,10 +72,12 @@ class CompiledRGNNModule:
         #: Who fixed the plan's pass switches; the compiler adds the two statistics it read.
         self.decision: Dict[str, object] = {"decided_by": "options"}
         self.memory_planner: Optional[MemoryPlanner] = None
-        self.arena_pool: Optional[ArenaPool] = None
+        #: This module's tenant of its own budget; private, because modules
+        #: sharing a cached plan must not share buffers.
+        self.arena_source: Optional[TenantArenaSource] = None
         if plan.metadata.get("memory_planning_enabled"):
             self.memory_planner = MemoryPlanner(plan)
-            self.arena_pool = arena_pool or ArenaPool()
+            self.arena_source = SharedArenaBudget(max_arenas=MODULE_MAX_ARENAS).tenant(plan.name)
         self.parameters_by_name: Dict[str, Parameter] = {}
         self._init_parameters(seed)
         self._default_binding: Optional[GraphBinding] = None
@@ -102,33 +105,31 @@ class CompiledRGNNModule:
         graph: HeteroGraph,
         *,
         pooled: bool = True,
-        arena_source=None,
+        arena_source: Optional[TenantArenaSource] = None,
         label: Optional[str] = None,
     ) -> GraphBinding:
         """Attach the module to a concrete graph (full graph or sampled block).
 
         Validates the graph against the module's schema, reuses the memoised
-        graph context, and leases an arena.  ``arena_source`` (anything with
-        an ``ArenaPool``-shaped ``lease(planner, ctx)`` — in practice a
-        :class:`~repro.runtime.planner.TenantArenaSource` view of a serving
-        router's :class:`~repro.runtime.planner.SharedArenaBudget`) overrides
-        where the arena comes from; otherwise ``pooled=True`` (the default
-        for explicit rebinds — the serving pattern) leases from the module's
-        bucketed LRU pool, so same-bucket bindings share slabs, and
-        ``pooled=False`` builds a private arena sized exactly for ``graph``
-        (the default binding uses this: a module bound once to one full graph
-        should not pay the power-of-two bucket ceiling).  The returned
-        binding shares this module's parameters in every case.  ``label``
-        names the binding's owner (e.g. a serving endpoint) in error messages.
+        graph context, and leases an arena.  By default (``pooled=True`` —
+        explicit rebinds, the serving and training pattern) the lease comes
+        from ``arena_source`` — e.g. the module's tenant of a serving
+        router's :class:`~repro.runtime.planner.SharedArenaBudget` — or else
+        from the module's own :attr:`arena_source`; either way same-bucket
+        bindings share slabs.  ``pooled=False`` builds a private arena sized
+        exactly for ``graph`` (the default binding uses this: a module bound
+        once to one full graph should not pay the power-of-two bucket
+        ceiling).  The returned binding shares this module's parameters in
+        every case.  ``label`` names the binding's owner (e.g. a serving
+        endpoint) in error messages.
         """
         self.schema.validate_graph(graph)
         ctx = GraphContext.cached(graph)
         lease = None
         if self.memory_planner is not None:
-            if arena_source is not None:
-                lease = arena_source.lease(self.memory_planner, ctx)
-            elif pooled and self.arena_pool is not None:
-                lease = self.arena_pool.lease(self.memory_planner, ctx)
+            if pooled:
+                source = arena_source if arena_source is not None else self.arena_source
+                lease = source.lease(self.memory_planner, ctx)
             else:
                 lease = self.memory_planner.build_arena(ctx).lease()
         return GraphBinding(self, graph, ctx, arena_lease=lease, label=label)

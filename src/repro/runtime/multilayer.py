@@ -22,10 +22,10 @@ gradient.  Parameter gradients accumulate on each layer's module exactly as
 single-layer bindings do, so gradient accumulation across minibatches works
 unchanged.
 
-Each layer is its own module with its own arena pool (or its own tenant of a
-shared :class:`~repro.runtime.planner.SharedArenaBudget`), so the
-forward/backward interleaving across layers never invalidates a pooled
-arena's forward intermediates — the stale-backward guard stays quiet.
+Each layer leases from its own tenant — of the layer module's own
+:class:`~repro.runtime.planner.SharedArenaBudget`, or of a serving router's —
+so the forward/backward interleaving across layers never invalidates a
+pooled arena's forward intermediates — the stale-backward guard stays quiet.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from repro.graph.hetero_graph import HeteroGraph
 from repro.graph.sampler import MinibatchBlock, hop_gather_indices
 from repro.runtime.binding import GraphBinding
 from repro.runtime.module import CompiledRGNNModule
-from repro.runtime.planner import SharedArenaBudget
+from repro.runtime.planner import SharedArenaBudget, TenantArenaSource
 
 
 @dataclass
@@ -101,9 +101,12 @@ class MultiLayerModule:
                 )
         self.modules = modules
         self.schema = schema
-        #: Per-layer arena sources (tenants of a shared budget); ``None``
-        #: entries fall back to the layer module's own pool.
-        self.arena_sources: List[Optional[object]] = [None] * len(modules)
+        #: Per-layer arena sources: each layer module's own source until
+        #: :meth:`attach_arena_sources` moves them into a shared budget
+        #: (``None`` for layers without memory planning).
+        self.arena_sources: List[Optional[TenantArenaSource]] = [
+            module.arena_source for module in modules
+        ]
 
     # ------------------------------------------------------------------
     @classmethod
@@ -115,7 +118,6 @@ class MultiLayerModule:
         *,
         options=None,
         seed: int = 0,
-        shared_budget: Optional[SharedArenaBudget] = None,
     ) -> "MultiLayerModule":
         """Compile an ``L``-layer stack of one model for a graph.
 
@@ -129,9 +131,6 @@ class MultiLayerModule:
                 switches resolve to U: layers run on sampled blocks, not on ``graph``.
             seed: base parameter-initialisation seed (layer ``l`` uses
                 ``seed + l`` so layers do not share initial weights).
-            shared_budget: optional cross-layer arena budget; each layer
-                becomes its own tenant so layers never share slabs but stay
-                under one byte cap.
         """
         from repro.frontend.compiler import compile_model  # local import: avoids a cycle
         from repro.frontend.config import CompilerOptions
@@ -148,12 +147,7 @@ class MultiLayerModule:
         ]
         for module in modules:
             module.decision = {"decided_by": "options" if options is requested else "compiler"}
-        stack = cls(modules)
-        if shared_budget is not None:
-            stack.arena_sources = [
-                shared_budget.tenant(f"layer-{i}") for i in range(len(modules))
-            ]
-        return stack
+        return cls(modules)
 
     # ------------------------------------------------------------------
     @property
@@ -178,28 +172,21 @@ class MultiLayerModule:
         """True when any layer leases arenas (serving must budget for it)."""
         return any(module.memory_planner is not None for module in self.modules)
 
-    def attach_arena_sources(
-        self,
-        budget: SharedArenaBudget,
-        prefix: str,
-        capacity_bytes: Optional[int] = None,
-    ) -> List[str]:
+    def attach_arena_sources(self, budget: SharedArenaBudget, prefix: str) -> List[str]:
         """Lease every planned layer's arenas from ``budget``, as tenants
         named ``{prefix}/layer{l}``.
 
-        The serving router calls this when an endpoint adopts a stack: unlike
-        :meth:`build`'s ``layer-{l}`` names, the prefixed names cannot collide
-        when several endpoints adopt stacks into one budget.  Returns the
-        tenant names it registered (the router rolls them back if the rest of
-        the registration fails).  ``capacity_bytes`` caps each layer tenant
-        individually.
+        The serving router calls this when an endpoint adopts a stack: the
+        prefixed names cannot collide when several endpoints adopt stacks
+        into one budget.  Returns the tenant names it registered (the router
+        rolls them back if the rest of the registration fails).
         """
         names: List[str] = []
         for index, module in enumerate(self.modules):
             if module.memory_planner is None:
                 continue
             tenant = f"{prefix}/layer{index}"
-            self.arena_sources[index] = budget.tenant(tenant, capacity_bytes=capacity_bytes)
+            self.arena_sources[index] = budget.tenant(tenant)
             names.append(tenant)
         return names
 
@@ -223,10 +210,7 @@ class MultiLayerModule:
     # execution
     # ------------------------------------------------------------------
     def _bind(self, layer: int, graph: HeteroGraph, label: Optional[str] = None) -> GraphBinding:
-        source = self.arena_sources[layer]
-        if source is not None:
-            return self.modules[layer].bind(graph, arena_source=source, label=label)
-        return self.modules[layer].bind(graph, label=label)
+        return self.modules[layer].bind(graph, arena_source=self.arena_sources[layer], label=label)
 
     def _forward_stack(self, run: StackRun, features: np.ndarray) -> StackRun:
         h = features

@@ -21,23 +21,22 @@ that gap in two steps:
    into memory that persists across invocations instead of triggering fresh
    allocations every call.
 
-3. :class:`ArenaPool` extends the reuse across *graph bindings*: serving
-   workloads execute one compiled plan against many sampled minibatch blocks
-   whose node/edge counts differ per request.  Instead of allocating a fresh
-   arena per block, the pool buckets the runtime dimensions into power-of-two
-   size classes (:func:`dim_bucket`) and hands every binding in a bucket the
-   same slab-backed arena, re-viewed (:meth:`BufferArena.ensure_shapes`) to
-   the binding's concrete shapes.  Live arenas are LRU-bounded so a long tail
-   of rare block sizes cannot accumulate slabs without bound.
-
-4. :class:`SharedArenaBudget` multiplexes arenas across *tenants* (serving
-   endpoints hosting different compiled modules and parent graphs) under one
-   global byte cap.  Arenas are keyed per (tenant, bucket) — two tenants never
-   share slabs, their plans differ — but they all draw from one budget:
-   exceeding the cap evicts the least-recently-*used* arena across all
-   tenants, with per-tenant hit/miss/eviction counters and high-water byte
-   stats so a noisy neighbour is visible in telemetry.  This is the memory
-   backbone of the multi-tenant serving router (:mod:`repro.serving.router`).
+3. :class:`SharedArenaBudget` is a bucketed LRU of arenas, one tenant per
+   module or endpoint, that extends the reuse across *graph bindings*:
+   serving and training execute one compiled plan against many sampled
+   blocks whose node/edge counts differ per request.  Instead of allocating
+   a fresh arena per block, the budget buckets the runtime dimensions into
+   power-of-two size classes (:func:`dim_bucket`) and hands every binding of
+   a tenant in a bucket the same slab-backed arena, re-viewed
+   (:meth:`BufferArena.ensure_shapes`) to the binding's concrete shapes.
+   Arenas are keyed per (tenant, bucket) — two tenants never share slabs,
+   their plans differ — and a count bound or byte cap evicts the
+   least-recently-*used* arena across all tenants, so a long tail of rare
+   block sizes cannot accumulate slabs without bound.  Each compiled module
+   leases from its own one-tenant budget; the multi-tenant serving router
+   (:mod:`repro.serving.router`) puts every endpoint in one budget under one
+   global byte cap, with per-tenant hit/miss/eviction counters and
+   high-water byte stats so a noisy neighbour is visible in telemetry.
 
 The planner also runs in a purely analytic mode against a
 :class:`~repro.evaluation.workload.WorkloadSpec` (no arrays allocated), which
@@ -340,8 +339,8 @@ class MemoryPlanner:
             dtype: element dtype of the slabs.
             training: see :meth:`lifetimes`.
             capacity_sizes: optional sizes object the slot *capacities* are
-                computed from (the :class:`ArenaPool` passes the power-of-two
-                bucket of ``ctx``); defaults to ``ctx``'s exact sizes.  Must
+                computed from (a :class:`SharedArenaBudget` passes the
+                power-of-two bucket of ``ctx``); defaults to ``ctx``'s exact sizes.  Must
                 dominate the concrete sizes dimension for dimension.
         """
         sizes = _ContextSizes.from_context(ctx)
@@ -431,7 +430,7 @@ class BufferArena:
         """Re-view the slabs for a (possibly different) concrete graph binding.
 
         Slabs are never reallocated — pooled arenas are sized for the bucket
-        ceiling, and the pool keys leases by bucket, so every binding routed
+        ceiling, and the budget keys leases by bucket, so every binding routed
         here fits by construction.  A shape exceeding a slab's capacity
         raises ``ValueError``: it means a caller bypassed the bucket-key
         invariant, not a recoverable condition.
@@ -464,10 +463,6 @@ class BufferArena:
                 env[name] = view
         self.bind_count += 1
         return env
-
-    def buffer(self, name: str) -> np.ndarray:
-        """The arena-backed array of one planned buffer."""
-        return self._views[name]
 
     @property
     def managed_names(self) -> List[str]:
@@ -510,97 +505,12 @@ class ArenaLease:
         self.shapes = dict(shapes)
         self.on_bind = on_bind
 
-    def touch(self) -> None:
-        """Mark the leased arena as used (budget LRU recency); no-op otherwise."""
-        if self.on_bind is not None:
-            self.on_bind()
-
     def bind(self, env: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
         """Install this binding's arena views into an executor environment."""
-        self.touch()
+        if self.on_bind is not None:
+            self.on_bind()
         self.arena.ensure_shapes(self.shapes)
         return self.arena.bind(env)
-
-
-@dataclass
-class ArenaPoolStats:
-    """Reuse counters of one :class:`ArenaPool`."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
-class ArenaPool:
-    """Bucketed, LRU-bounded arenas shared across a module's graph bindings.
-
-    Bindings whose runtime dimensions fall in the same power-of-two bucket
-    (:func:`dim_bucket` over nodes / edges / unique pairs) lease one pooled
-    arena instead of allocating a fresh one, which is the allocation analogue
-    of the compilation cache: a stream of differently-sized sampled blocks
-    settles onto a handful of arenas after warmup.  At most ``max_arenas``
-    stay live; the least-recently-used bucket is dropped beyond that.
-
-    Pools are per-module (created in ``CompiledRGNNModule``), never shared
-    between modules — two modules sharing a cached plan must not share
-    buffers.
-    """
-
-    def __init__(self, max_arenas: int = 4):
-        if max_arenas < 1:
-            raise ValueError("an arena pool needs room for at least one arena")
-        self.max_arenas = max_arenas
-        self._arenas: "OrderedDict[tuple, BufferArena]" = OrderedDict()
-        self.stats = ArenaPoolStats()
-
-    def lease(
-        self,
-        planner: MemoryPlanner,
-        ctx,
-        dtype=np.float64,
-        training: Optional[bool] = None,
-    ) -> ArenaLease:
-        """Lease the pooled arena of ``ctx``'s size bucket, building it on a miss."""
-        sizes = _ContextSizes.from_context(ctx)
-        key = (sizes.bucket_key(), np.dtype(dtype).str, bool(
-            training if training is not None else planner.plan.backward_kernels
-        ))
-        arena = self._arenas.get(key)
-        if arena is not None:
-            self.stats.hits += 1
-            self._arenas.move_to_end(key)
-        else:
-            self.stats.misses += 1
-            arena = planner.build_arena(
-                ctx, dtype=dtype, training=training, capacity_sizes=sizes.bucketed()
-            )
-            self._arenas[key] = arena
-            while len(self._arenas) > self.max_arenas:
-                self._arenas.popitem(last=False)
-                self.stats.evictions += 1
-        shapes = planner.shapes_for(sizes, arena.memory_plan.slot_of)
-        return ArenaLease(arena, shapes)
-
-    # ------------------------------------------------------------------
-    @property
-    def live_arenas(self) -> int:
-        return len(self._arenas)
-
-    def pooled_bytes(self) -> int:
-        """Bytes held by every live arena's slabs."""
-        return int(sum(arena.arena_bytes() for arena in self._arenas.values()))
-
-    def clear(self) -> None:
-        self._arenas.clear()
-        self.stats = ArenaPoolStats()
 
 
 @dataclass
@@ -630,9 +540,9 @@ class TenantArenaStats:
 class TenantArenaSource:
     """One tenant's view of a :class:`SharedArenaBudget`.
 
-    Exposes the same ``lease(planner, ctx, ...)`` surface as
-    :class:`ArenaPool`, so ``CompiledRGNNModule.bind(graph, arena_source=...)``
-    can draw from a shared budget instead of the module's private pool.
+    The ``lease(planner, ctx, ...)`` surface ``CompiledRGNNModule.bind``
+    draws pooled arenas from — a module's own one-tenant budget, or the
+    serving router's shared one — plus the tenant's reuse ``stats``.
     """
 
     def __init__(self, budget: "SharedArenaBudget", tenant: str):
@@ -642,24 +552,6 @@ class TenantArenaSource:
     @property
     def stats(self) -> TenantArenaStats:
         return self.budget.tenant_stats(self.tenant)
-
-    # Counter proxies, so a source quacks like ``ArenaPoolStats`` for
-    # telemetry consumers (``EngineStats.report`` accepts either).
-    @property
-    def hits(self) -> int:
-        return self.stats.hits
-
-    @property
-    def misses(self) -> int:
-        return self.stats.misses
-
-    @property
-    def evictions(self) -> int:
-        return self.stats.evictions
-
-    @property
-    def hit_rate(self) -> float:
-        return self.stats.hit_rate
 
     def lease(
         self,
@@ -672,17 +564,19 @@ class TenantArenaSource:
 
 
 class SharedArenaBudget:
-    """Cross-tenant arena pool under one global (and optional per-tenant) byte cap.
+    """A bucketed LRU of arenas for one or more tenants, under global bounds.
 
-    The multi-tenant serving router owns one budget; every endpoint leases its
-    arenas through a :class:`TenantArenaSource` view.  Keys include the tenant
-    name — tenants never share slabs (their kernel plans differ, and sharing
-    would let one tenant read another's intermediates) — but all arenas count
-    against ``capacity_bytes``.  When an insert pushes the total over the cap,
-    the least-recently-used arena across *all* tenants is evicted (the arena
-    just built is exempt, so a single oversized arena still gets to exist).
-    A tenant registered with its own ``capacity_bytes`` is additionally capped
-    in isolation, evicting only its own LRU arenas.
+    Every :class:`~repro.runtime.module.CompiledRGNNModule` with memory
+    planning owns a one-tenant budget (``max_arenas=4``) for its pooled
+    bindings; the multi-tenant serving router owns one budget every endpoint
+    leases from.  Tenants lease through :class:`TenantArenaSource` views.
+    Keys include the tenant name — tenants never share slabs (their kernel
+    plans differ, and sharing would let one tenant read another's
+    intermediates) — but all arenas count against the budget's bounds.  When
+    an insert pushes the total over ``capacity_bytes`` or the arena count
+    over ``max_arenas``, the least-recently-used arena across *all* tenants
+    is evicted (the arena just built is exempt, so a single oversized arena
+    still gets to exist).
 
     Eviction drops the budget's reference; slabs stay alive while outstanding
     leases reference them and are reclaimed by the allocator afterwards.  The
@@ -691,10 +585,9 @@ class SharedArenaBudget:
 
     Args:
         capacity_bytes: global cap on pool-held slab bytes; ``None`` = unbounded.
-        max_arenas: global cap on the *number* of live arenas (the analogue of
-            :class:`ArenaPool`'s LRU bound, so a long tail of rare block-size
-            buckets cannot accumulate slabs even under a generous byte cap);
-            ``None`` = unbounded.
+        max_arenas: global cap on the *number* of live arenas, so a long tail
+            of rare block-size buckets cannot accumulate slabs even under a
+            generous byte cap; ``None`` = unbounded.
     """
 
     def __init__(self, capacity_bytes: Optional[int] = None, max_arenas: Optional[int] = None):
@@ -706,7 +599,6 @@ class SharedArenaBudget:
         self.max_arenas = max_arenas
         self._arenas: "OrderedDict[tuple, BufferArena]" = OrderedDict()
         self._tenants: Dict[str, TenantArenaStats] = {}
-        self._tenant_caps: Dict[str, Optional[int]] = {}
         #: Serialises lease/evict/report against concurrent executor workers:
         #: the router's thread-pool stage leases arenas for different tenants
         #: concurrently, and LRU reordering + cap enforcement + the per-tenant
@@ -725,22 +617,14 @@ class SharedArenaBudget:
     # ------------------------------------------------------------------
     # tenants
     # ------------------------------------------------------------------
-    def tenant(self, name: str, capacity_bytes: Optional[int] = None) -> TenantArenaSource:
+    def tenant(self, name: str) -> TenantArenaSource:
         """Register (or fetch) a tenant and return its lease source.
 
         Args:
-            name: tenant (endpoint) name; stats are keyed by it.
-            capacity_bytes: optional per-tenant cap on this tenant's
-                pool-held bytes, enforced in addition to the global cap.
+            name: tenant (module or endpoint) name; stats are keyed by it.
         """
-        if capacity_bytes is not None and capacity_bytes <= 0:
-            raise ValueError(f"tenant {name!r}: capacity_bytes must be positive (or None)")
         with self._lock:
-            if name not in self._tenants:
-                self._tenants[name] = TenantArenaStats()
-                self._tenant_caps[name] = capacity_bytes
-            elif capacity_bytes is not None:
-                self._tenant_caps[name] = capacity_bytes
+            self._tenants.setdefault(name, TenantArenaStats())
         return TenantArenaSource(self, name)
 
     def tenant_stats(self, name: str) -> TenantArenaStats:
@@ -752,7 +636,7 @@ class SharedArenaBudget:
         return name in self._tenants
 
     def drop_tenant(self, name: str) -> None:
-        """Remove a tenant entirely: its arenas, stats, and cap.
+        """Remove a tenant entirely: its arenas and stats.
 
         Used by the router to roll back a half-finished registration, and by
         callers decommissioning an endpoint.  Unknown names are a no-op.
@@ -761,7 +645,6 @@ class SharedArenaBudget:
             for key in [k for k in self._arenas if k[0] == name]:
                 del self._arenas[key]
             self._tenants.pop(name, None)
-            self._tenant_caps.pop(name, None)
 
     # ------------------------------------------------------------------
     # leasing
@@ -776,8 +659,8 @@ class SharedArenaBudget:
     ) -> ArenaLease:
         """Lease the tenant's pooled arena for ``ctx``'s size bucket.
 
-        A miss builds the arena (sized for the bucket ceiling, exactly like
-        :class:`ArenaPool`) and then enforces the per-tenant and global caps.
+        A miss builds the arena (sized for the bucket ceiling) and then
+        enforces the budget's bounds.
         """
         sizes = _ContextSizes.from_context(ctx)
         if training is None:
@@ -800,12 +683,17 @@ class SharedArenaBudget:
                 self.high_water_bytes = max(self.high_water_bytes, self.live_bytes)
                 self._enforce_caps(protect=key)
             shapes = planner.shapes_for(sizes, arena.memory_plan.slot_of)
-        return ArenaLease(arena, shapes, on_bind=lambda: self._touch(key))
+        return ArenaLease(arena, shapes, on_bind=lambda: self._touch(key, arena))
 
-    def _touch(self, key: tuple) -> None:
-        """Refresh a key's LRU recency at *use* time (lease binds an env)."""
+    def _touch(self, key: tuple, arena: BufferArena) -> None:
+        """Refresh ``arena``'s LRU recency at *use* time (a lease binds an env).
+
+        Only while ``key`` still holds that very arena: a lease that outlived
+        its arena's eviction must not refresh the arena rebuilt under the
+        same key, which nobody has used.
+        """
         with self._lock:
-            if key in self._arenas:
+            if self._arenas.get(key) is arena:
                 self._arenas.move_to_end(key)
 
     def _evict(self, key: tuple) -> None:
@@ -819,29 +707,14 @@ class SharedArenaBudget:
             del self.eviction_log[:-EVICTION_LOG_LIMIT]
 
     def _enforce_caps(self, protect: tuple) -> None:
-        """Evict LRU arenas until every cap holds; ``protect`` is never evicted."""
-        tenant = protect[0]
-        cap = self._tenant_caps.get(tenant)
-        if cap is not None:
-            while self._tenants[tenant].live_bytes > cap:
-                victim = next(
-                    (k for k in self._arenas if k[0] == tenant and k != protect), None
-                )
-                if victim is None:
-                    break
-                self._evict(victim)
-        if self.capacity_bytes is not None:
-            while self.live_bytes > self.capacity_bytes:
-                victim = next((k for k in self._arenas if k != protect), None)
-                if victim is None:
-                    break
-                self._evict(victim)
-        if self.max_arenas is not None:
-            while len(self._arenas) > self.max_arenas:
-                victim = next((k for k in self._arenas if k != protect), None)
-                if victim is None:  # pragma: no cover - max_arenas >= 1 guarantees a victim
-                    break
-                self._evict(victim)
+        """Evict LRU arenas until both bounds hold; ``protect`` is never evicted."""
+        while (self.capacity_bytes is not None and self.live_bytes > self.capacity_bytes) or (
+            self.max_arenas is not None and len(self._arenas) > self.max_arenas
+        ):
+            victim = next((k for k in self._arenas if k != protect), None)
+            if victim is None:  # only ``protect`` is left: it may exceed the byte cap alone
+                break
+            self._evict(victim)
 
     # ------------------------------------------------------------------
     # telemetry
@@ -875,36 +748,23 @@ class SharedArenaBudget:
     def report(self) -> Dict[str, object]:
         """Budget-wide and per-tenant footprint/reuse summary."""
         with self._lock:
-            return self._report_locked()
-
-    def _report_locked(self) -> Dict[str, object]:
-        return {
-            "capacity_bytes": self.capacity_bytes,
-            "live_arenas": self.live_arenas,
-            "live_bytes": self.live_bytes,
-            "high_water_bytes": self.high_water_bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": round(self.hit_rate, 3),
-            "tenants": {
-                name: {
-                    "hits": stats.hits,
-                    "misses": stats.misses,
-                    "evictions": stats.evictions,
-                    "live_bytes": stats.live_bytes,
-                    "high_water_bytes": stats.high_water_bytes,
-                    "capacity_bytes": self._tenant_caps.get(name),
-                }
-                for name, stats in self._tenants.items()
-            },
-        }
-
-    def clear(self) -> None:
-        """Drop every arena and reset counters (tenant registrations stay)."""
-        with self._lock:
-            self._arenas.clear()
-            self.eviction_log.clear()
-            self.high_water_bytes = 0
-            for name in self._tenants:
-                self._tenants[name] = TenantArenaStats()
+            return {
+                "capacity_bytes": self.capacity_bytes,
+                "live_arenas": self.live_arenas,
+                "live_bytes": self.live_bytes,
+                "high_water_bytes": self.high_water_bytes,
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+                "hit_rate": round(self.hit_rate, 3),
+                "tenants": {
+                    name: {
+                        "hits": stats.hits,
+                        "misses": stats.misses,
+                        "evictions": stats.evictions,
+                        "live_bytes": stats.live_bytes,
+                        "high_water_bytes": stats.high_water_bytes,
+                    }
+                    for name, stats in self._tenants.items()
+                },
+            }

@@ -123,7 +123,6 @@ class Router:
         features: Optional[np.ndarray] = None,
         fanouts: Sequence[Fanout] = (None,),
         priority: int = 1,
-        arena_budget: Optional[int] = None,
         max_batch_size: int = 8,
         batch_timeout_s: float = 0.002,
         block_cache_size: int = 32,
@@ -141,9 +140,6 @@ class Router:
                 through ``forward_blocks`` and need one fanout per layer.
             parent_graph: the graph this endpoint's requests sample from.
             priority: weighted-round-robin weight (≥ 1).
-            arena_budget: optional per-endpoint byte cap inside the shared
-                budget (the global ``arena_capacity_bytes`` always applies;
-                for stacks the cap applies to each layer tenant).
             block_cache_size: per-seed draw-cache capacity (seeds; 0
                 disables).
             admission: optional rate/queue/deadline limits enforced on this
@@ -165,15 +161,13 @@ class Router:
             # slabs); the endpoint itself carries no arena source.
             model.schema.validate_graph(parent_graph)
             module, program, kept_options = model, None, None
-            layer_tenants = model.attach_arena_sources(
-                self.budget, name, capacity_bytes=arena_budget
-            )
+            layer_tenants = model.attach_arena_sources(self.budget, name)
         else:
             module, program, kept_options = resolve_module(
                 model, parent_graph, in_dim=in_dim, out_dim=out_dim, options=options, seed=seed
             )
             if module.memory_planner is not None:
-                arena_source = self.budget.tenant(name, capacity_bytes=arena_budget)
+                arena_source = self.budget.tenant(name)
         try:
             endpoint = Endpoint(
                 name,
@@ -194,7 +188,7 @@ class Router:
             )
         except Exception:
             # Roll the tenants back: a failed registration must not leave
-            # phantom entries (or sticky per-tenant caps) in the budget.
+            # phantom entries in the budget.
             if arena_source is not None:
                 self.budget.drop_tenant(name)
             for tenant in layer_tenants:

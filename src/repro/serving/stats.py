@@ -59,10 +59,9 @@ def percentile(values: Sequence[float], q: float) -> float:
 class EngineStats:
     """Accumulated serving telemetry of one endpoint.
 
-    ``arena`` optionally references the owner's arena counters — an
-    :class:`~repro.runtime.planner.ArenaPoolStats` or a
-    :class:`~repro.runtime.planner.TenantArenaSource` (both expose
-    hits/misses/evictions/hit_rate) — so :meth:`report` can surface memory
+    ``arena`` optionally references the owner's
+    :class:`~repro.runtime.planner.TenantArenaSource`, whose ``stats`` hold
+    hits/misses/evictions/hit_rate, so :meth:`report` can surface memory
     reuse next to throughput without the caller stitching dicts together.
     """
 
@@ -191,10 +190,11 @@ class EngineStats:
         """:meth:`summary` plus the attached arena hit/miss/eviction counters."""
         out = self.summary()
         if self.arena is not None:
-            out["arena_hits"] = int(self.arena.hits)
-            out["arena_misses"] = int(self.arena.misses)
-            out["arena_evictions"] = int(self.arena.evictions)
-            out["arena_pool_hit_rate"] = round(float(self.arena.hit_rate), 3)
+            arena = self.arena.stats
+            out["arena_hits"] = arena.hits
+            out["arena_misses"] = arena.misses
+            out["arena_evictions"] = arena.evictions
+            out["arena_pool_hit_rate"] = round(arena.hit_rate, 3)
         return out
 
 

@@ -79,10 +79,9 @@ class TrainStats:
                 against the (relation, destination) rows drawn; 0 for
                 per-hop sampling — should be included as
                 ``sampler_hit_rate``.
-            arena_pools: optional iterable of arena lease sources (anything
-                with ``hits`` / ``misses`` counters — an
-                :class:`~repro.runtime.planner.ArenaPool` ``.stats`` or a
-                :class:`~repro.runtime.planner.TenantArenaSource`).
+            arena_pools: optional iterable of arena lease sources
+                (:class:`~repro.runtime.planner.TenantArenaSource`, whose
+                ``stats`` hold the ``hits`` / ``misses`` counters).
         """
         seconds = sum(epoch.seconds for epoch in self.epochs)
         seeds = sum(epoch.num_seeds for epoch in self.epochs)
@@ -100,8 +99,8 @@ class TrainStats:
         # by the hits sum and silently report zero misses (hit rate 1.0).
         arena_pools = list(arena_pools) if arena_pools is not None else []
         if arena_pools:
-            hits = sum(int(pool.hits) for pool in arena_pools)
-            misses = sum(int(pool.misses) for pool in arena_pools)
+            hits = sum(pool.stats.hits for pool in arena_pools)
+            misses = sum(pool.stats.misses for pool in arena_pools)
             lookups = hits + misses
             out["arena_hit_rate"] = round(hits / lookups, 3) if lookups else 0.0
         return out

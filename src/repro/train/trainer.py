@@ -42,6 +42,7 @@ from repro.graph.hetero_graph import HeteroGraph
 from repro.graph.sampler import Fanout, NeighborSampler
 from repro.runtime.module import CompiledRGNNModule
 from repro.runtime.multilayer import MultiLayerModule
+from repro.runtime.planner import TenantArenaSource
 from repro.tensor import optim
 from repro.train.collective import tree_reduce
 from repro.train.objectives import resolve_objective
@@ -360,18 +361,10 @@ class MinibatchTrainer:
         return self.stats
 
     # ------------------------------------------------------------------
-    def _arena_pools(self) -> List[object]:
+    def _arena_pools(self) -> List[TenantArenaSource]:
         """The arena lease sources backing the trainer's bindings."""
-        modules = self.model.modules if self._is_stack else [self.model]
-        pools: List[object] = []
-        if self._is_stack:
-            pools.extend(source for source in self.model.arena_sources if source is not None)
-        covered = len(pools) == len(modules)
-        if not covered:
-            pools.extend(
-                module.arena_pool.stats for module in modules if module.arena_pool is not None
-            )
-        return pools
+        sources = self.model.arena_sources if self._is_stack else [self.model.arena_source]
+        return [source for source in sources if source is not None]
 
     def summary(self) -> dict:
         """Run-level report: loss, throughput, sampler and arena hit rates."""

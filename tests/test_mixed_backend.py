@@ -8,6 +8,7 @@ validation — on small deterministic inputs.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from repro.frontend.compiler import compile_model, compile_program
 from repro.frontend.config import CompilerOptions
 from repro.graph.generators import random_hetero_graph
 from repro.graph.hetero_graph import HeteroGraph
+from repro.ir.codegen import artifact_cache
 from repro.ir.codegen.artifact_cache import (
     ARTIFACT_FORMAT_VERSION,
     CACHE_ENV,
@@ -88,6 +90,24 @@ class TestArtifactCache:
         assert source == "x = 2\n"
         assert cache.stats()["misses"] >= 2
 
+    def test_corrupt_file_is_counted_and_warned_once(self, isolated_cache, monkeypatch):
+        cache = isolated_cache
+        monkeypatch.setattr(artifact_cache, "_CORRUPT_WARNED", False)
+        cache.directory.mkdir(parents=True, exist_ok=True)
+        (cache.directory / "k1.json").write_text("garbage")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cache.load("k1") is None
+            assert cache.load("k1") is None
+        stats = cache.stats()
+        assert stats["misses"] == 2 and stats["corrupt"] == 2
+        runtime_warnings = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime_warnings) == 1
+        assert "corrupt codegen artifact" in str(runtime_warnings[0].message)
+        # A missing file stays a plain miss.
+        assert cache.load("absent") is None
+        assert cache.stats()["misses"] == 3 and cache.stats()["corrupt"] == 2
+
     def test_stale_source_hash_regenerates(self, isolated_cache):
         cache = isolated_cache
         cache.load_or_generate("k1", "<t>", lambda: "x = 1\n")
@@ -121,7 +141,7 @@ class TestArtifactCache:
         cache_b = default_artifact_cache()
         assert cache_b.directory == tmp_path / "b"
         assert cache_b is not cache_a
-        assert cache_b.stats() == {"hits": 0, "misses": 0, "stores": 0, "errors": 0}
+        assert cache_b.stats() == {"hits": 0, "misses": 0, "corrupt": 0, "stores": 0, "errors": 0}
 
     def test_artifact_key_discriminates_extras(self):
         base = ("some", "cache", "key")
@@ -191,7 +211,7 @@ class TestMixedGeneration:
         graph = _graph()
         module = compile_model("rgcn", graph, in_dim=4, out_dim=4, options=_mixed_options())
         info = module.summary()
-        assert set(info["artifact_cache"]) == {"hits", "misses", "stores", "errors"}
+        assert set(info["artifact_cache"]) == {"hits", "misses", "corrupt", "stores", "errors"}
         assert "mixed_assignment" not in info
         assert set(info["occupancy"]) == {"hits", "misses", "variants"}
 

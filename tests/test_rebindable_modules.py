@@ -1,5 +1,6 @@
 """The compile→bind→execute split: schema-specialised modules, graph
-bindings, parameter sharing, input validation, and the bucketed arena pool.
+bindings, parameter sharing, input validation, and a module's bucketed arena
+pool (its own one-tenant ``SharedArenaBudget``).
 """
 
 import numpy as np
@@ -8,10 +9,18 @@ import pytest
 from repro.frontend import CompilerOptions, compile_model
 from repro.graph import GraphSchema, random_hetero_graph, sample_block
 from repro.models import REFERENCE_CLASSES
-from repro.runtime import ArenaPool, CompiledRGNNModule, MemoryPlanner, dim_bucket
+from repro.runtime import CompiledRGNNModule, MemoryPlanner, SharedArenaBudget, dim_bucket
 from repro.runtime.context import GraphContext
+from repro.runtime.module import MODULE_MAX_ARENAS
 
 DIM = 8
+
+
+def _bucket(graph, fraction):
+    """Bucket key of ``graph.subgraph_by_edge_fraction(fraction, seed=1)``."""
+    sub = graph.subgraph_by_edge_fraction(fraction, seed=1)
+    return (dim_bucket(sub.num_nodes), dim_bucket(sub.num_edges),
+            dim_bucket(sub.compaction.num_unique))
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +149,8 @@ class TestInputValidation:
 
 
 class TestArenaPool:
+    """A module's own pool: ``module.arena_source``, a one-tenant ``SharedArenaBudget``."""
+
     def test_dim_bucket_is_power_of_two_ceiling(self):
         assert dim_bucket(0) == 0
         assert dim_bucket(1) == 1
@@ -151,7 +162,7 @@ class TestArenaPool:
     def test_same_bucket_bindings_share_one_arena(self, parent_graph, parent_features):
         module = compile_model("rgat", parent_graph, in_dim=DIM, out_dim=DIM,
                                options=CompilerOptions(emit_backward=False))
-        pool = module.arena_pool
+        pool = module.arena_source
         assert pool is not None
         # Find two differently-sized blocks that land in one size bucket.
         rng = np.random.default_rng(3)
@@ -184,33 +195,59 @@ class TestArenaPool:
         assert again[key].shape[0] == first.num_nodes
 
     def test_lru_bound_evicts_oldest_bucket(self, parent_graph):
-        plan_module = compile_model("rgcn", parent_graph, in_dim=DIM, out_dim=DIM,
-                                    options=CompilerOptions(emit_backward=False))
-        planner = MemoryPlanner(plan_module.plan)
-        pool = ArenaPool(max_arenas=2)
-        fractions = [0.12, 0.3, 0.6, 1.0]
+        module = compile_model("rgcn", parent_graph, in_dim=DIM, out_dim=DIM,
+                               options=CompilerOptions(emit_backward=False))
+        pool = module.arena_source
+        assert pool.budget.max_arenas == MODULE_MAX_ARENAS == 4
+        fractions = [0.05, 0.1, 0.2, 0.4, 0.8]  # five distinct edge buckets
         for fraction in fractions:
-            sub = parent_graph.subgraph_by_edge_fraction(fraction, seed=1)
-            pool.lease(planner, GraphContext.cached(sub))
-        assert pool.live_arenas <= 2
-        assert pool.stats.evictions >= 1
-        assert pool.pooled_bytes() > 0
+            module.bind(parent_graph.subgraph_by_edge_fraction(fraction, seed=1))
+        assert pool.budget.live_arenas == 4
+        assert pool.stats.evictions == 1
+        assert pool.budget.eviction_log == [(pool.tenant, _bucket(parent_graph, 0.05))]
+        assert pool.budget.live_bytes > 0
 
     def test_pool_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
-            ArenaPool(max_arenas=0)
+            SharedArenaBudget(max_arenas=0)
 
     def test_default_binding_keeps_exact_private_arena(self, parent_graph):
         """The classic one-graph path must not pay bucket-rounded slabs."""
         module = compile_model("rgcn", parent_graph, in_dim=DIM, out_dim=DIM,
                                options=CompilerOptions(emit_backward=False))
-        assert module.arena_pool.stats.lookups == 0  # pool untouched
+        assert module.arena_source.stats.lookups == 0  # pool untouched
         exact = MemoryPlanner(module.plan).build_arena(GraphContext.cached(parent_graph))
         assert module.arena.arena_bytes() == exact.arena_bytes()
         pooled = module.bind(parent_graph)  # explicit rebinds do use the pool
-        assert module.arena_pool.stats.lookups == 1
+        assert module.arena_source.stats.lookups == 1
         assert pooled.arena is not module.arena
         assert pooled.arena.arena_bytes() >= module.arena.arena_bytes()
+
+    def test_binding_through_an_older_lease_protects_its_arena(self, parent_graph, parent_features):
+        """A module's pool evicts by least-recent *use*, not least-recent lease."""
+        module = compile_model("rgcn", parent_graph, in_dim=DIM, out_dim=DIM,
+                               options=CompilerOptions(emit_backward=False))
+        pool = module.arena_source
+        oldest = module.bind(parent_graph.subgraph_by_edge_fraction(0.05, seed=1))
+        for fraction in (0.1, 0.2, 0.4):
+            module.bind(parent_graph.subgraph_by_edge_fraction(fraction, seed=1))
+        oldest.forward(parent_features)  # the oldest lease is now the latest use
+        module.bind(parent_graph.subgraph_by_edge_fraction(0.8, seed=1))
+        assert pool.budget.eviction_log == [(pool.tenant, _bucket(parent_graph, 0.1))]
+        hits = pool.stats.hits
+        module.bind(parent_graph.subgraph_by_edge_fraction(0.05, seed=1))
+        assert pool.stats.hits == hits + 1
+
+    def test_bind_sequence_counters_match_the_lease_time_pool(self, parent_graph, parent_features):
+        """Binding then running each block in turn, use order is lease order:
+        a fixed six-block sequence gives the counters a lease-time LRU of four
+        arenas gave (hits 1, misses 5, evictions 1)."""
+        module = compile_model("rgcn", parent_graph, in_dim=DIM, out_dim=DIM,
+                               options=CompilerOptions(emit_backward=False))
+        for fraction in (0.05, 0.1, 0.05, 0.2, 0.4, 0.8):
+            module.bind(parent_graph.subgraph_by_edge_fraction(fraction, seed=1)).forward(parent_features)
+        stats = module.arena_source.stats
+        assert (stats.hits, stats.misses, stats.evictions) == (1, 5, 1)
 
     def test_stale_backward_on_shared_pooled_arena_raises(self, parent_graph, parent_features):
         """Interleaved forward/backward across same-arena bindings must error,
@@ -250,7 +287,7 @@ class TestArenaPool:
             block = sample_block(parent_graph, seeds, fanouts=(3,), seed=index)
             binding = module.bind(block.graph)
             binding.forward(block.gather_features(parent_features))
-        pool = module.arena_pool
+        pool = module.arena_source
         # After warmup the block-size buckets repeat: the pool must be hitting.
         assert pool.stats.hits >= 3
-        assert pool.live_arenas <= pool.max_arenas
+        assert pool.budget.live_arenas <= pool.budget.max_arenas

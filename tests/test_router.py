@@ -91,14 +91,13 @@ class TestRegistration:
         router = _router()
         bad_features = np.zeros((graph_a.num_nodes - 1, DIM))
         with pytest.raises(ValueError, match="feature store"):
-            _register(router, "ghost", graph_a, features=bad_features,
-                      arena_budget=1 << 20)
-        # No phantom tenant, no sticky cap from the failed attempt.
+            _register(router, "ghost", graph_a, features=bad_features)
+        # No phantom tenant from the failed attempt.
         assert not router.budget.has_tenant("ghost")
         assert "ghost" not in router.budget.report()["tenants"]
         endpoint = _register(router, "ghost", graph_a)
         router.query("ghost", [1, 2])
-        assert router.budget.report()["tenants"]["ghost"]["capacity_bytes"] is None
+        assert router.budget.report()["tenants"]["ghost"]["misses"] == 1
         assert endpoint.stats.num_batches == 1
 
     def test_adopted_module_endpoint(self, graph_a):
@@ -462,21 +461,26 @@ class TestSharedBudget:
         source.lease(planner, ctx_big)
         assert source.stats.misses == 4  # big was the eviction victim
 
-    def test_per_tenant_cap_evicts_only_that_tenant(self, graph_a, graph_b):
-        module, ctx_small, ctx_big = self._module_and_ctxs(graph_a, graph_b)
+    def test_stale_lease_does_not_refresh_the_rebuilt_arena(self, graph_a):
+        """Binding through a lease whose arena was evicted must not mark the
+        arena rebuilt under the same bucket as used."""
+        module = compile_model("rgcn", graph_a, in_dim=DIM, out_dim=DIM,
+                               options=OPTIONS, seed=0)
         planner = module.memory_planner
-        budget = SharedArenaBudget()
-        source_a = budget.tenant("a")
-        lease = source_a.lease(planner, ctx_small)
-        budget.tenant("a", capacity_bytes=lease.arena.arena_bytes())
-        source_b = budget.tenant("b")
-        source_b.lease(planner, ctx_small)
-        # a's next (bigger-bucket) arena busts a's own cap: a's small arena
-        # goes, b is untouched.
-        source_a.lease(planner, ctx_big)
-        assert source_a.stats.evictions == 1
-        assert source_b.stats.evictions == 0
-        assert budget.live_arenas == 2
+        ctxs = [GraphContext.cached(graph_a.subgraph_by_edge_fraction(fraction, seed=1))
+                for fraction in (0.1, 0.25, 0.5, 1.0)]
+        budget = SharedArenaBudget(max_arenas=2)
+        source = budget.tenant("t")
+        stale = source.lease(planner, ctxs[0])
+        source.lease(planner, ctxs[1])
+        newer = source.lease(planner, ctxs[2])  # evicts bucket 0
+        source.lease(planner, ctxs[0])  # rebuilds bucket 0, evicts bucket 1
+        assert source.stats.misses == 4 and source.stats.evictions == 2
+        newer.bind({})  # LRU order: rebuilt bucket 0, then bucket 2
+        stale.bind({})  # the evicted arena: no recency change
+        source.lease(planner, ctxs[3])
+        assert budget.eviction_log[-1] == budget.eviction_log[0]  # bucket 0 again
+        assert source.lease(planner, ctxs[2]).arena is newer.arena
 
     def test_high_water_and_report(self, graph_a, graph_b):
         module, ctx_small, ctx_big = self._module_and_ctxs(graph_a, graph_b)

@@ -15,6 +15,7 @@ and the hit rate came out 1.0 regardless of the real misses).
 import numpy as np
 import pytest
 
+from repro.runtime.planner import TenantArenaStats
 from repro.serving.stats import BatchRecord, EngineStats, aggregate_summary, percentile
 from repro.train.collective import CollectiveStats
 from repro.train.stats import DistributedTrainStats, EpochStats, ShardEpochStats, TrainStats
@@ -22,8 +23,7 @@ from repro.train.stats import DistributedTrainStats, EpochStats, ShardEpochStats
 
 class _Pool:
     def __init__(self, hits, misses):
-        self.hits = hits
-        self.misses = misses
+        self.stats = TenantArenaStats(hits=hits, misses=misses)
 
 
 class TestTrainStatsZeroRecords:
