@@ -14,7 +14,8 @@ into Python/numpy source through the same three stages:
 3. **printer** (:mod:`~repro.ir.codegen.printer`) — one walker under a naming
    policy (per-kernel functions over ``env``/``ctx``, or one whole-plan
    function over hoisted locals); generated modules import their helpers
-   (ensures, the one segment-sum scatter) from :mod:`~repro.ir.codegen.helpers`.
+   (ensures, the one segment-sum scatter: a CSR product on full graphs, a
+   bincount on small or 1-D targets) from :mod:`~repro.ir.codegen.helpers`.
 
 The backends, selected through :mod:`~repro.ir.codegen.registry`
 (``get_backend(name)``) or ``CompilerOptions(backend="...")``, are selections

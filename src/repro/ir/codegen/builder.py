@@ -160,7 +160,7 @@ def _gemm_dgrad(kernel: GemmKernel):
     return pre, dense, [
         Assign("contrib", expr("np.empty(", shape, ", dtype=", grad_y, ".dtype)")),
         _segment_loop(kernel, segment),
-        Scatter(grad_x, (Ctx(attr),), ("contrib",)),
+        Scatter(grad_x, (Ctx(attr, incidence=True),), ("contrib",)),
     ]
 
 
@@ -209,13 +209,21 @@ def _access_index(op: MicroOp, access: str) -> Optional[Expr]:
     if access in ("src", "dst"):
         return (access,)
     if access == "compact":
-        return (Ctx("edge_to_unique"),)
+        return (Ctx("edge_to_unique", incidence=True),)
     if access == "weight":
         selector = op.attrs.get("type_selector", "etype")
         if selector in ("src_ntype", "dst_ntype"):
             return (Ctx("node_type_ids"), "[", selector[:3], "]")
         return ("typ",)
     return None
+
+
+def _scatter_index(kernel: TraversalKernel, index: Expr) -> Expr:
+    """``index`` with the ``src`` / ``dst`` local resolved to the context array :func:`_traversal` bound it to,
+    so the helper can sum through that array's incidence matrix; a computed index stays as it is."""
+    bound = {Space.EDGE: {"src": "edge_src", "dst": "edge_dst"}, Space.COMPACT: {"src": "unique_src"}}
+    attr = bound.get(kernel.domain, {}).get(index[0]) if len(index) == 1 else None
+    return index if attr is None else (Ctx(attr, incidence=True),)
 
 
 def _operand(op: MicroOp, position: int) -> Expr:
@@ -269,20 +277,20 @@ def _forward_micro_op(kernel: TraversalKernel, op: MicroOp) -> List[Stmt]:
         if op.attrs.get("weighted") and len(op.inputs) > 1:
             stmts.append(Assign("_c, _s", expr("_align(_contrib, ", operands[1], ")")))
             stmts.append(Assign("_contrib", ("_c * _s",)))
-        stmts.append(Scatter(target, ("dst",), ("_contrib",)))
+        stmts.append(Scatter(target, _scatter_index(kernel, ("dst",)), ("_contrib",)))
     else:
         raise ValueError(f"unknown micro-op kind {op.kind!r}")
     return stmts
 
 
-def _accumulate_grad(op: MicroOp, position: int, *grad) -> List[Stmt]:
+def _accumulate_grad(kernel: TraversalKernel, op: MicroOp, position: int, *grad) -> List[Stmt]:
     """Accumulate expression ``grad`` into the gradient buffer of the ``position``-th operand."""
     name = op.inputs[position]
     index = _access_index(op, _access(op, position))
     target = Buf(f"grad_{name}")
     if index is None:
         return [EnsureGrad(name), Update(target, None, expr(*grad))]
-    return [EnsureGrad(name), Scatter(target, index, expr(*grad))]
+    return [EnsureGrad(name), Scatter(target, _scatter_index(kernel, index), expr(*grad))]
 
 
 #: Relation segment pointer of a traversal domain whose rows are stored by relation.
@@ -308,20 +316,20 @@ def _backward_micro_op(kernel: TraversalKernel, op: MicroOp) -> List[Stmt]:
         stmts.append(Assign("_g", (Buf(f"grad_{out}"), "[dst]")))
         if op.attrs.get("weighted") and len(op.inputs) > 1:
             stmts.append(Assign("_gm, _s", expr("_align(_g, ", operands[1], ")")))
-            stmts += _accumulate_grad(op, 0, "_gm * _s")
+            stmts += _accumulate_grad(kernel, op, 0, "_gm * _s")
             stmts.append(Assign("_gs", expr("np.sum(_g * ", operands[0], ", axis=-1)")))
-            stmts += _accumulate_grad(op, 1, "_gs")
+            stmts += _accumulate_grad(kernel, op, 1, "_gs")
         else:
-            stmts += _accumulate_grad(op, 0, "_g")
+            stmts += _accumulate_grad(kernel, op, 0, "_g")
         return stmts
     stmts.append(Assign("_g", (Buf(f"grad_{out}"),)))
     if op.kind in ("dot", "typed_vec_dot"):
-        stmts += _accumulate_grad(op, 0, "_g[:, None] * ", operands[1])
+        stmts += _accumulate_grad(kernel, op, 0, "_g[:, None] * ", operands[1])
         by_relation = op.kind == "typed_vec_dot" and _access_index(op, "weight") == ("typ",)
         if by_relation and kernel.domain in _ETYPE_SEGMENTS:
             stmts += _typed_weight_adjoint(kernel, op)
         else:
-            stmts += _accumulate_grad(op, 1, "_g[:, None] * ", operands[0])
+            stmts += _accumulate_grad(kernel, op, 1, "_g[:, None] * ", operands[0])
     elif op.kind == "binary":
         symbol = op.attrs.get("op", "add")
         scalars = op.attrs.get("scalar", {})
@@ -336,7 +344,7 @@ def _backward_micro_op(kernel: TraversalKernel, op: MicroOp) -> List[Stmt]:
         for position, local in enumerate(("_ga", "_gb")):
             if scalars.get(op.inputs[position], False):
                 stmts.append(Assign(local, (f"np.sum({local}, axis=-1) if {local}.ndim > 1 else {local}",)))
-        stmts += _accumulate_grad(op, 0, "_ga") + _accumulate_grad(op, 1, "_gb")
+        stmts += _accumulate_grad(kernel, op, 0, "_ga") + _accumulate_grad(kernel, op, 1, "_gb")
     elif op.kind == "unary":
         fn = op.attrs.get("fn", "relu")
         if fn == "exp":
@@ -348,14 +356,14 @@ def _backward_micro_op(kernel: TraversalKernel, op: MicroOp) -> List[Stmt]:
             stmts.append(Assign("_gx", (f"_g * {op.attrs.get('constant', 1.0)}",)))
         else:
             stmts.append(Assign("_gx", expr("_g * (", operands[0], " > 0)")))
-        stmts += _accumulate_grad(op, 0, "_gx")
+        stmts += _accumulate_grad(kernel, op, 0, "_gx")
     elif op.kind == "scale":
         stmts.append(Assign("_gx, _s", expr("_align(_g, ", operands[1], ")")))
-        stmts += _accumulate_grad(op, 0, "_gx * _s")
+        stmts += _accumulate_grad(kernel, op, 0, "_gx * _s")
         stmts.append(Assign("_gs", expr("np.sum(_g * ", operands[0], ", axis=-1)")))
-        stmts += _accumulate_grad(op, 1, "_gs")
+        stmts += _accumulate_grad(kernel, op, 1, "_gs")
     elif op.kind == "copy":
-        stmts += _accumulate_grad(op, 0, "_g")
+        stmts += _accumulate_grad(kernel, op, 0, "_g")
     else:
         raise ValueError(f"unknown micro-op kind {op.kind!r}")
     return stmts

@@ -136,7 +136,11 @@ class _Printer:
             emit(f"{indent}{target} {stmt.op} {self.text(stmt.value)}")
         elif kind is Scatter:
             args = f"{self.ref(stmt.target)}, {self.text(stmt.index)}, {self.text(stmt.contrib)}"
-            emit(f"{indent}_scatter_add({args}{', fresh=True' if stmt.fresh else ''})")
+            args += ", fresh=True" if stmt.fresh else ""
+            head = stmt.index[0]
+            if len(stmt.index) == 1 and head.__class__ is Ctx and head.incidence:
+                args += f", ctx=ctx, attr='{head.attr}'"
+            emit(f"{indent}_scatter_add({args})")
         elif kind is Ensure:
             self._ensure(stmt, indent)
         elif kind is EnsureGrad:

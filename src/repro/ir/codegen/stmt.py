@@ -31,10 +31,13 @@ class Ctx:
 
     ``as_list`` marks a segment-pointer array (``etype_ptr`` …) that is only
     ever indexed, so a naming policy may bind it as a Python list.
+    ``incidence`` marks a per-row index array (``edge_dst`` …): a scatter
+    through it alone may sum as the product with ``ctx.incidence(attr)``.
     """
 
     attr: str
     as_list: bool = False
+    incidence: bool = False
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ This is the runtime counterpart of the paper's "layout choices" box in
 Figure 5: the COO arrays (``row_idx`` / ``col_idx`` / edge types), edges
 presorted by type (``etype_ptr`` + permutation), nodes grouped by type
 (``ntype_ptr``), the compact-materialization mapping (``unique_row_idx``,
-``unique_etype_ptr``, ``edge_to_unique``), and the canonical edge-type →
+``unique_etype_ptr``, ``edge_to_unique``), the canonical edge-type →
 endpoint-node-type maps used to resolve per-source/destination-node-type
-weights inside edge-type segments.
+weights inside edge-type segments, and, built on first use, the CSR incidence
+a full-graph scatter sums through instead of atomics (edges by destination).
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
+from repro.graph.adjacency import build_csr_by_dst
 from repro.graph.hetero_graph import HeteroGraph
 
 #: Per-graph memo of preprocessed contexts; entries die with their graph.
@@ -124,6 +127,28 @@ class GraphContext:
             cached.flags.writeable = False
             self._degree_norm = cached
         return cached
+
+    def incidence(self, attr: str) -> scipy.sparse.csr_matrix:
+        """The 0/1 matrix that sums rows scattered through index array ``attr`` (``edge_dst`` …).
+
+        One row per target row (a node, or a unique pair for ``edge_to_unique``)
+        and one column per index entry, columns ascending within a row (the
+        stable grouping of :func:`~repro.graph.adjacency.build_csr_by_dst`), so
+        ``incidence @ contrib`` adds each row's contributions in index order.
+        Built once per context and array, read-only, and shared by every
+        module bound here; concurrent first calls may each build it, benignly.
+        """
+        memo = self.__dict__.setdefault("_incidence", {})
+        matrix = memo.get(attr)
+        if matrix is None:
+            index = getattr(self, attr)
+            rows = self.num_unique if attr == "edge_to_unique" else self.num_nodes
+            csr = build_csr_by_dst(index, index, index, rows)  # only the grouping by destination is read
+            matrix = scipy.sparse.csr_matrix((np.ones(len(index)), csr.edge_ids, csr.indptr), shape=(rows, len(index)))
+            for array in (matrix.data, matrix.indices, matrix.indptr):
+                array.flags.writeable = False
+            matrix = memo.setdefault(attr, matrix)
+        return matrix
 
     def index_array_bytes(self) -> int:
         """Device memory occupied by the index arrays (for the memory model)."""

@@ -1,12 +1,19 @@
 """The segment-sum scatter helper and the templates built on type-sorted edges.
 
-Three layers: the helper against a plain ``np.add.at`` reference; the shape of
-the dgrad template (one scatter per kernel, after its segment loop, under
-every policy); and whole models on awkward schemas — relation counts on both
+Three layers: the helper against a plain ``np.add.at`` reference, its
+sparse-product path against its bincount path bit for bit, and the per-context
+incidence memo and its threshold routing; the shape of the dgrad template (one
+scatter per kernel, after its segment loop, under every policy); and whole
+models on awkward schemas — relation counts on both
 sides of the unroll limit, an empty relation, a single-edge relation,
 destinations nobody points at — where interp, codegen and mixed must agree
 bit for bit and match the eager reference to rounding.
 """
+
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,13 +21,16 @@ import pytest
 from repro.frontend import compile_model
 from repro.frontend.compiler import compile_program
 from repro.frontend.config import CompilerOptions
+from repro.graph import random_hetero_graph
 from repro.graph.hetero_graph import HeteroGraph
+from repro.ir.codegen import helpers
 from repro.ir.codegen.builder import build_kernel
 from repro.ir.codegen.helpers import _scatter_add
 from repro.ir.codegen.passes import MAX_UNROLL_SEGMENTS, merge_adjacent, unroll_segments
 from repro.ir.codegen.stmt import Scatter, SegmentBlock, SegmentLoop
 from repro.models import MODEL_NAMES, REFERENCE_CLASSES, build_program
 from repro.runtime.context import GraphContext
+from repro.serving import Router
 from repro.tensor import Tensor
 
 
@@ -100,6 +110,115 @@ def test_helper_is_deterministic_across_fresh_and_zero_filled_accumulation():
         _scatter_add(fresh, idx, contrib, fresh=True)
         _scatter_add(zeros, idx, contrib)
         assert fresh.tobytes() == zeros.tobytes()
+
+
+# ----------------------------------------------------------------------
+# the sparse-product path: bit-identical to bincount, memoised per context
+# ----------------------------------------------------------------------
+class _IndexContext(SimpleNamespace):
+    """Just what :meth:`GraphContext.incidence` reads: one index array and the row count."""
+
+    incidence = GraphContext.incidence
+
+
+def _scatter_through(path, monkeypatch, target, idx, contrib, fresh):
+    monkeypatch.setattr(helpers, "SPMM_MIN_CONTRIBUTIONS", 0 if path == "sparse" else 1 << 62)
+    out = target.copy()
+    helpers._scatter_add(out, idx, contrib, fresh=fresh, ctx=_IndexContext(edge_dst=idx, num_nodes=len(out)),
+                         attr="edge_dst")
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("width", [1, 4, 5, 64], ids=lambda w: f"w{w}")
+@pytest.mark.parametrize("case", list(_INDEX_CASES))
+@pytest.mark.parametrize("fresh", [False, True], ids=["accumulate", "fresh"])
+def test_sparse_product_equals_bincount_bitwise(fresh, case, width, dtype, monkeypatch):
+    """Same adds, same order, both from ``0.0`` in float64: the two paths agree to the bit."""
+    rng = np.random.default_rng(7)
+    idx = _INDEX_CASES[case](rng)
+    contrib = rng.standard_normal((len(idx), width)).astype(dtype)
+    contrib[::5] = -0.0
+    target = np.full((40, width), np.nan, dtype) if fresh else rng.standard_normal((40, width)).astype(dtype)
+    target[::7] = -0.0  # rows outside the hit window keep their sign
+    dense, sparse = (_scatter_through(path, monkeypatch, target, idx, contrib, fresh) for path in ("dense", "sparse"))
+    assert sparse.tobytes() == dense.tobytes()
+    _check(target.copy(), idx, contrib, fresh)  # and both are the add.at sum
+
+
+def _count_builds(monkeypatch) -> list:
+    """Record the index array of every incidence build."""
+    import repro.runtime.context as context
+
+    builds = []
+    build = context.build_csr_by_dst
+    monkeypatch.setattr(context, "build_csr_by_dst", lambda *args: builds.append(args[0]) or build(*args))
+    return builds
+
+
+def test_full_graph_modules_share_one_incidence(monkeypatch):
+    """Two modules bound to one graph read one ``incidence('edge_dst')``, built once."""
+    graph = random_hetero_graph(num_nodes=60, num_edges=300, num_node_types=3, num_edge_types=6, seed=4)
+    builds = _count_builds(monkeypatch)
+    monkeypatch.setattr(helpers, "SPMM_MIN_CONTRIBUTIONS", 0)
+    features = np.random.default_rng(0).standard_normal((graph.num_nodes, 4))
+    options = CompilerOptions(backend="python-codegen", emit_backward=True, enable_compilation_cache=False)
+    modules = [compile_model(model, graph, in_dim=4, out_dim=4, options=options) for model in ("rgcn", "rgat")]
+    for module in modules:
+        for _ in range(2):
+            out = module.forward(features)[module.output_name]
+            module.backward({module.output_name: np.ones_like(out)})
+    ctx = modules[0].ctx
+    assert modules[1].ctx is ctx
+    matrix = ctx.incidence("edge_dst")
+    assert matrix is modules[1].ctx.incidence("edge_dst") and not matrix.data.flags.writeable
+    assert sum(index is ctx.edge_dst for index in builds) == 1
+    assert len(builds) == len(ctx._incidence)  # every other index array once, too
+
+
+def test_sampled_blocks_below_the_threshold_build_no_incidence(monkeypatch):
+    graph = random_hetero_graph(num_nodes=1000, num_edges=4500, num_node_types=2, num_edge_types=3, seed=2)
+    dim = 32
+    assert graph.num_edges * dim >= helpers.SPMM_MIN_CONTRIBUTIONS  # the full graph takes the product
+    builds = _count_builds(monkeypatch)
+    router = Router()
+    router.register("served", "rgat", graph, in_dim=dim, out_dim=dim, options=CompilerOptions(emit_backward=False),
+                    fanouts=(8,), max_batch_size=4, sampler_seed=1, seed=3)
+    for seeds in np.random.default_rng(1).integers(0, graph.num_nodes, (12, 4)):
+        assert np.isfinite(router.query("served", seeds)).all()
+    assert builds == []
+    module = compile_model("rgat", graph, in_dim=dim, out_dim=dim)
+    module.forward(np.ones((graph.num_nodes, dim)))
+    assert len(builds) == 1 and builds[0] is module.ctx.edge_dst
+
+
+def test_concurrent_first_incidence_calls_agree(small_graph, monkeypatch):
+    """A race on the first build is benign: equal matrices, correct scatters."""
+    ctx = GraphContext.from_graph(small_graph)
+    rng = np.random.default_rng(9)
+    contrib = rng.standard_normal((ctx.num_edges, 16))
+    expected = np.zeros((ctx.num_nodes, 16))
+    np.add.at(expected, ctx.edge_dst, contrib)
+    monkeypatch.setattr(helpers, "SPMM_MIN_CONTRIBUTIONS", 0)
+    barrier = threading.Barrier(4)
+
+    def scatter(_):
+        barrier.wait(timeout=30)
+        target = np.empty((ctx.num_nodes, 16))
+        helpers._scatter_add(target, ctx.edge_dst, contrib, fresh=True, ctx=ctx, attr="edge_dst")
+        return ctx.incidence("edge_dst"), target
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(scatter, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for matrix, target in results:
+        np.testing.assert_allclose(target, expected, rtol=1e-12, atol=1e-12)
+        assert target.tobytes() == results[0][1].tobytes()
+        assert (matrix != results[0][0]).nnz == 0
 
 
 # ----------------------------------------------------------------------
