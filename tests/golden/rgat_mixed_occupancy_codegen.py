@@ -101,7 +101,7 @@ def main_forward(env, ctx):
     if Y is None or Y.shape != (_c_num_nodes,):
         Y = _b_att_sum = env['att_sum'] = np.empty((_c_num_nodes,), dtype=_env_dtype(env))
     _contrib = _b_att_exp
-    _scatter_add(Y, dst, _contrib, fresh=True)
+    _scatter_add(Y, _c_edge_dst, _contrib, fresh=True, ctx=ctx, attr='edge_dst')
     # ---- traversal_3: traversal_3: traversal over edge {rows/block: 128, threads/row: 32, partial_agg: True} atomics=True | att_sum_edges=copy(att_sum); att=binary(att_exp, att_sum_edges); out=scatter_add(hs, att) ----
     n_rows = _c_num_edges
     src, dst, typ = _c_edge_src, _c_edge_dst, _c_edge_type
@@ -117,7 +117,7 @@ def main_forward(env, ctx):
     _contrib = _b_hs
     _c, _s = _align(_contrib, _b_att)
     _contrib = _c * _s
-    _scatter_add(Y, dst, _contrib, fresh=True)
+    _scatter_add(Y, _c_edge_dst, _contrib, fresh=True, ctx=ctx, attr='edge_dst')
     return env
 
 def main_backward(env, ctx):
@@ -196,7 +196,7 @@ def main_backward(env, ctx):
     _b_grad_att_sum = env.get('grad_att_sum')
     if _b_grad_att_sum is None:
         _b_grad_att_sum = env['grad_att_sum'] = np.empty_like(env['att_sum'])
-    _scatter_add(_b_grad_att_sum, dst, _g, fresh=True)
+    _scatter_add(_b_grad_att_sum, _c_edge_dst, _g, fresh=True, ctx=ctx, attr='edge_dst')
     # ---- traversal_2_bwd: traversal_2_bwd: traversal over edge {rows/block: 128, threads/row: 32, partial_agg: True} atomics=True | attt=typed_vec_dot(ht, w_t); att_raw=binary(atts, attt); att_l=unary(att_raw); att_exp=unary(att_l); att_sum=scatter_add(att_exp) ----
     n_rows = _c_num_edges
     src, dst, typ = _c_edge_src, _c_edge_dst, _c_edge_type
@@ -331,7 +331,7 @@ def main_backward(env, ctx):
         contrib[rows] = gY @ W_t.T
         Xg = _b_h[_c_edge_dst[rows]]
         grad_W[5] += Xg.T @ gY
-    _scatter_add(grad_X, _c_edge_dst, contrib, fresh=True)
+    _scatter_add(grad_X, _c_edge_dst, contrib, fresh=True, ctx=ctx, attr='edge_dst')
     # ---- traversal_1_bwd: traversal_1_bwd: traversal over edge {rows/block: 128, threads/row: 32, partial_agg: True} atomics=True | atts=typed_vec_dot(hs, w_s) ----
     n_rows = _c_num_edges
     src, dst, typ = _c_edge_src, _c_edge_dst, _c_edge_type
@@ -407,5 +407,5 @@ def main_backward(env, ctx):
         contrib[rows] = gY @ W_t.T
         Xg = _b_h[_c_edge_src[rows]]
         grad_W[5] += Xg.T @ gY
-    _scatter_add(grad_X, _c_edge_src, contrib)
+    _scatter_add(grad_X, _c_edge_src, contrib, ctx=ctx, attr='edge_src')
     return env
