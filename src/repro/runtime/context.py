@@ -3,11 +3,13 @@
 This is the runtime counterpart of the paper's "layout choices" box in
 Figure 5: the COO arrays (``row_idx`` / ``col_idx`` / edge types), edges
 presorted by type (``etype_ptr`` + permutation), nodes grouped by type
-(``ntype_ptr``), the compact-materialization mapping (``unique_row_idx``,
-``unique_etype_ptr``, ``edge_to_unique``), the canonical edge-type →
-endpoint-node-type maps used to resolve per-source/destination-node-type
-weights inside edge-type segments, and, built on first use, the CSR incidence
-a full-graph scatter sums through instead of atomics (edges by destination).
+(``ntype_ptr``), and the canonical edge-type → endpoint-node-type maps used
+to resolve per-source/destination-node-type weights inside edge-type
+segments.  Derived layouts are built on first read, so a binding builds only
+what its plan reads: the compact-materialization mapping (``unique_src``,
+``unique_etype_ptr``, ``edge_to_unique``; only a C plan reads it) and the CSR
+incidence a full-graph scatter sums through instead of atomics (edges by
+destination).
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
 
 from repro.graph.adjacency import build_csr_by_dst
+from repro.graph.compaction import CompactionIndex, build_compaction_index
 from repro.graph.hetero_graph import HeteroGraph
 
 #: Per-graph memo of preprocessed contexts; entries die with their graph.
@@ -39,7 +43,6 @@ class GraphContext:
     num_edges: int
     num_etypes: int
     num_ntypes: int
-    num_unique: int
     edge_src: np.ndarray
     edge_dst: np.ndarray
     edge_type: np.ndarray
@@ -47,10 +50,6 @@ class GraphContext:
     etype_ptr: np.ndarray
     node_type_ids: np.ndarray
     ntype_ptr: np.ndarray
-    unique_src: np.ndarray
-    unique_etype: np.ndarray
-    unique_etype_ptr: np.ndarray
-    edge_to_unique: np.ndarray
     etype_to_src_ntype: np.ndarray
     etype_to_dst_ntype: np.ndarray
 
@@ -69,14 +68,12 @@ class GraphContext:
                 f"type {int(graph.edge_type[edge])} after type {int(graph.edge_type[edge - 1])}"
             )
         segments = graph.edge_segments
-        compaction = graph.compaction
         etype_to_src, etype_to_dst = graph.etype_endpoint_types
-        return cls(
+        ctx = cls(
             num_nodes=graph.num_nodes,
             num_edges=graph.num_edges,
             num_etypes=graph.num_edge_types,
             num_ntypes=graph.num_node_types,
-            num_unique=compaction.num_unique,
             edge_src=graph.edge_src,
             edge_dst=graph.edge_dst,
             edge_type=graph.edge_type,
@@ -84,13 +81,12 @@ class GraphContext:
             etype_ptr=segments.offsets,
             node_type_ids=graph.node_type_ids,
             ntype_ptr=graph.node_type_offsets,
-            unique_src=compaction.unique_src,
-            unique_etype=compaction.unique_etype,
-            unique_etype_ptr=compaction.unique_etype_ptr,
-            edge_to_unique=compaction.edge_to_unique,
             etype_to_src_ntype=etype_to_src,
             etype_to_dst_ntype=etype_to_dst,
         )
+        if "compaction" in graph.__dict__:  # the graph built it (the C/R decision reads it): share, not rebuild
+            ctx.__dict__["compaction"] = graph.compaction
+        return ctx
 
     @classmethod
     def cached(cls, graph: HeteroGraph) -> "GraphContext":
@@ -109,7 +105,23 @@ class GraphContext:
             ctx = cls.from_graph(graph)
             with _CONTEXT_CACHE_LOCK:
                 ctx = _CONTEXT_CACHE.setdefault(graph, ctx)
+        elif "compaction" in graph.__dict__:  # the graph built its index since: share it unless ctx built one
+            ctx.__dict__.setdefault("compaction", graph.compaction)
         return ctx
+
+    @cached_property
+    def compaction(self) -> CompactionIndex:
+        """Unique ``(source node, edge type)`` mapping, built on first read (only C plans read it).
+
+        Memoised in ``__dict__``; concurrent first reads may each build it, benignly.
+        """
+        return build_compaction_index(self.edge_src, self.edge_type, self.num_etypes)
+
+    num_unique = property(lambda self: self.compaction.num_unique)
+    unique_src = property(lambda self: self.compaction.unique_src)
+    unique_etype = property(lambda self: self.compaction.unique_etype)
+    unique_etype_ptr = property(lambda self: self.compaction.unique_etype_ptr)
+    edge_to_unique = property(lambda self: self.compaction.edge_to_unique)
 
     def degree_normalization(self) -> np.ndarray:
         """Per-edge ``1 / c_{v,r}`` factors (RGCN normalisation).
@@ -151,7 +163,7 @@ class GraphContext:
         return matrix
 
     def index_array_bytes(self) -> int:
-        """Device memory occupied by the index arrays (for the memory model)."""
+        """Device memory occupied by the index arrays built so far (for the memory model)."""
         arrays = [
             self.edge_src,
             self.edge_dst,
@@ -160,9 +172,7 @@ class GraphContext:
             self.etype_ptr,
             self.node_type_ids,
             self.ntype_ptr,
-            self.unique_src,
-            self.unique_etype,
-            self.unique_etype_ptr,
-            self.edge_to_unique,
         ]
+        if "compaction" in self.__dict__:
+            arrays += [self.unique_src, self.unique_etype, self.unique_etype_ptr, self.edge_to_unique]
         return int(sum(a.nbytes for a in arrays))

@@ -53,6 +53,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.ir.inter_op.space import Space
 from repro.ir.intra_op.kernels import GemmKernel, TraversalKernel
 from repro.ir.intra_op.plan import KernelPlan
 from repro.runtime.memory import MemoryModel
@@ -140,6 +141,11 @@ class MemoryPlanner:
 
     def __init__(self, plan: KernelPlan):
         self.plan = plan
+        #: Whether a runtime arena buffer has one row per unique pair; only then
+        #: do arena sizes (and bucket keys) read ``ctx.num_unique`` and build the compaction index.
+        self.sizes_by_unique_pairs = any(
+            plan.buffers[name].space is Space.COMPACT for name in self.inplace_written_names()
+        )
 
     # ------------------------------------------------------------------
     # lifetime analysis
@@ -343,7 +349,7 @@ class MemoryPlanner:
                 power-of-two bucket of ``ctx``); defaults to ``ctx``'s exact sizes.  Must
                 dominate the concrete sizes dimension for dimension.
         """
-        sizes = _ContextSizes.from_context(ctx)
+        sizes = _ContextSizes.from_context(ctx, self.sizes_by_unique_pairs)
         memory_plan = self.plan_memory(
             capacity_sizes if capacity_sizes is not None else sizes,
             training=training,
@@ -372,11 +378,12 @@ class _ContextSizes:
     num_node_types: int
 
     @classmethod
-    def from_context(cls, ctx) -> "_ContextSizes":
+    def from_context(cls, ctx, unique_pairs: bool) -> "_ContextSizes":
+        """``num_unique_pairs`` is 0 unless ``unique_pairs`` (the plan sizes a buffer by it)."""
         return cls(
             num_nodes=int(ctx.num_nodes),
             num_edges=int(ctx.num_edges),
-            num_unique_pairs=int(ctx.num_unique),
+            num_unique_pairs=int(ctx.num_unique) if unique_pairs else 0,
             num_edge_types=int(ctx.num_etypes),
             num_node_types=int(ctx.num_ntypes),
         )
@@ -662,7 +669,7 @@ class SharedArenaBudget:
         A miss builds the arena (sized for the bucket ceiling) and then
         enforces the budget's bounds.
         """
-        sizes = _ContextSizes.from_context(ctx)
+        sizes = _ContextSizes.from_context(ctx, planner.sizes_by_unique_pairs)
         if training is None:
             training = bool(planner.plan.backward_kernels)
         key = (tenant, sizes.bucket_key(), np.dtype(dtype).str, bool(training))

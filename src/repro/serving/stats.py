@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
+import numpy as np
+
 
 @dataclass
 class BatchRecord:
@@ -40,19 +42,20 @@ def percentile(values: Sequence[float], q: float) -> float:
     (there is nothing to summarise), a single record yields that record, and
     ``q`` is clamped into [0, 100] — no index can ever fall outside the
     sorted data.  Matches ``numpy.percentile``'s default (linear) method on
-    longer histories.
+    longer histories.  The sort is numpy's (the history grows with the
+    router's age); the interpolation stays on Python floats.
     """
-    data = sorted(float(v) for v in values)
-    if not data:
+    data = np.sort(np.asarray(values, dtype=np.float64))
+    if not len(data):
         return 0.0
     if len(data) == 1:
-        return data[0]
+        return float(data[0])
     q = min(max(float(q), 0.0), 100.0)
     rank = (len(data) - 1) * (q / 100.0)
     low = int(rank)
     high = min(low + 1, len(data) - 1)
     fraction = rank - low
-    return data[low] * (1.0 - fraction) + data[high] * fraction
+    return float(data[low]) * (1.0 - fraction) + float(data[high]) * fraction
 
 
 @dataclass

@@ -151,6 +151,16 @@ class TestServingStatsZeroRecords:
         values = np.random.default_rng(5).exponential(size=37).tolist()
         for q in np.linspace(0.0, 100.0, 21):
             assert percentile(values, q) == pytest.approx(float(np.percentile(values, q)))
+        # A 10^4-record history: exactly the sorted-list formula on Python floats.
+        history = np.random.default_rng(6).exponential(size=10_000).tolist()
+        data = sorted(history)
+        for q in (0, 0.1, 12.5, 50, 90, 95, 99, 99.9, 100):
+            rank = (len(data) - 1) * (q / 100.0)
+            low = int(rank)
+            high = min(low + 1, len(data) - 1)
+            expected = data[low] * (1.0 - (rank - low)) + data[high] * (rank - low)
+            assert percentile(history, q) == expected
+            assert type(percentile(history, q)) is float
 
     def test_percentiles_well_defined_for_zero_and_one_record(self):
         for q in (0, 0.1, 50, 95, 99.9, 100):
