@@ -219,16 +219,32 @@ def _access_index(op: MicroOp, access: str) -> Optional[Expr]:
 
 
 def _scatter_index(kernel: TraversalKernel, index: Expr) -> Expr:
-    """``index`` with the ``src`` / ``dst`` local resolved to the context array :func:`_traversal` bound it to,
-    so the helper can sum through that array's incidence matrix; a computed index stays as it is."""
-    bound = {Space.EDGE: {"src": "edge_src", "dst": "edge_dst"}, Space.COMPACT: {"src": "unique_src"}}
+    """``index`` with a local resolved to the context array :func:`_traversal` bound it to, so the helper can sum
+    through that array's incidence matrix (``typ`` never scatters: its adjoint is per relation); a computed index
+    stays as it is."""
+    bound = {Space.EDGE: {"src": "edge_src", "dst": "edge_dst", "typ": "edge_type"},
+             Space.COMPACT: {"src": "unique_src", "typ": "unique_etype"}}
     attr = bound.get(kernel.domain, {}).get(index[0]) if len(index) == 1 else None
     return index if attr is None else (Ctx(attr, incidence=True),)
 
 
+def _weighted_scatter(kernel, target, index: Expr, rows: Expr, gather, weights: Expr, scale: str):
+    """``weights[e] · rows[gather[e]]`` summed into ``target[index]`` as one weighted :class:`Scatter`, if
+    ``index`` is an incidence array, ``gather`` direct or a context array and ``scale`` a per-row scalar."""
+    index, through = _scatter_index(kernel, index)[0], gather and _scatter_index(kernel, gather)[0]
+    info = kernel.buffer_infos.get(scale)
+    sums = getattr(index, "incidence", False) and getattr(through, "incidence", gather is None)
+    if sums and info is not None and info.feature_shape == ():
+        return Scatter(target, (index,), rows, through=through and Ctx(through.attr), weights=weights)
+
+
+def _gathered(op: MicroOp, position: int) -> Tuple[Expr, Optional[Expr]]:
+    """The ``position``-th operand: its buffer and the index it is read through."""
+    return (Buf(op.inputs[position]),), _access_index(op, _access(op, position))
+
+
 def _operand(op: MicroOp, position: int) -> Expr:
-    index = _access_index(op, _access(op, position))
-    buffer = Buf(op.inputs[position])
+    (buffer,), index = _gathered(op, position)
     return (buffer,) if index is None else expr(buffer, "[", index, "]")
 
 
@@ -273,8 +289,12 @@ def _forward_micro_op(kernel: TraversalKernel, op: MicroOp) -> List[Stmt]:
     elif op.kind == "scatter_add":
         target = Local("Y", out)
         stmts.append(Ensure(target, out, _output_shape(kernel, op)))
+        weighted = op.attrs.get("weighted") and len(op.inputs) > 1
+        fused = weighted and _weighted_scatter(kernel, target, ("dst",), *_gathered(op, 0), operands[1], op.inputs[1])
+        if fused:
+            return stmts + [fused]
         stmts.append(Assign("_contrib", operands[0]))
-        if op.attrs.get("weighted") and len(op.inputs) > 1:
+        if weighted:
             stmts.append(Assign("_c, _s", expr("_align(_contrib, ", operands[1], ")")))
             stmts.append(Assign("_contrib", ("_c * _s",)))
         stmts.append(Scatter(target, _scatter_index(kernel, ("dst",)), ("_contrib",)))
@@ -283,14 +303,30 @@ def _forward_micro_op(kernel: TraversalKernel, op: MicroOp) -> List[Stmt]:
     return stmts
 
 
-def _accumulate_grad(kernel: TraversalKernel, op: MicroOp, position: int, *grad) -> List[Stmt]:
-    """Accumulate expression ``grad`` into the gradient buffer of the ``position``-th operand."""
+def _accumulate_grad(kernel: TraversalKernel, op: MicroOp, position: int, *grad, fused=(), setup=()):
+    """Accumulate ``grad`` (after ``setup``) into the ``position``-th operand's gradient, or :func:`_weighted_scatter`
+    over ``fused`` where it applies.  Graph-provided edge data (RGCN's ``norm``) gets none: nothing reads it."""
     name = op.inputs[position]
+    info = kernel.buffer_infos.get(name)
+    if info is not None and info.is_input and info.space is Space.EDGE:
+        return []
     index = _access_index(op, _access(op, position))
     target = Buf(f"grad_{name}")
     if index is None:
-        return [EnsureGrad(name), Update(target, None, expr(*grad))]
-    return [EnsureGrad(name), Scatter(target, _scatter_index(kernel, index), expr(*grad))]
+        return [*setup, EnsureGrad(name), Update(target, None, expr(*grad))]
+    scatter = fused and _weighted_scatter(kernel, target, index, *fused)
+    if scatter:
+        return [EnsureGrad(name), scatter]
+    return [*setup, EnsureGrad(name), Scatter(target, _scatter_index(kernel, index), expr(*grad))]
+
+
+def _scale_adjoint(kernel: TraversalKernel, op: MicroOp, operands, rows: Expr, gather, local: str) -> List[Stmt]:
+    """Adjoints of ``x · s``, ``_g = rows[gather]``: ``_g · s`` into ``x`` and ``Σ _g · x`` into ``s``."""
+    align = Assign(f"{local}, _s", expr("_align(_g, ", operands[1], ")"))
+    fused = (rows, gather, operands[1], op.inputs[1])
+    stmts = _accumulate_grad(kernel, op, 0, f"{local} * _s", fused=fused, setup=[align])
+    grad_s = Assign("_gs", expr("np.sum(_g * ", operands[0], ", axis=-1)"))
+    return stmts + _accumulate_grad(kernel, op, 1, "_gs", setup=[grad_s])
 
 
 #: Relation segment pointer of a traversal domain whose rows are stored by relation.
@@ -315,21 +351,20 @@ def _backward_micro_op(kernel: TraversalKernel, op: MicroOp) -> List[Stmt]:
     if op.kind == "scatter_add":
         stmts.append(Assign("_g", (Buf(f"grad_{out}"), "[dst]")))
         if op.attrs.get("weighted") and len(op.inputs) > 1:
-            stmts.append(Assign("_gm, _s", expr("_align(_g, ", operands[1], ")")))
-            stmts += _accumulate_grad(kernel, op, 0, "_gm * _s")
-            stmts.append(Assign("_gs", expr("np.sum(_g * ", operands[0], ", axis=-1)")))
-            stmts += _accumulate_grad(kernel, op, 1, "_gs")
+            stmts += _scale_adjoint(kernel, op, operands, (Buf(f"grad_{out}"),), ("dst",), "_gm")
         else:
             stmts += _accumulate_grad(kernel, op, 0, "_g")
         return stmts
     stmts.append(Assign("_g", (Buf(f"grad_{out}"),)))
     if op.kind in ("dot", "typed_vec_dot"):
-        stmts += _accumulate_grad(kernel, op, 0, "_g[:, None] * ", operands[1])
+        fused = (*_gathered(op, 1), ("_g",), out)
+        stmts += _accumulate_grad(kernel, op, 0, "_g[:, None] * ", operands[1], fused=fused)
         by_relation = op.kind == "typed_vec_dot" and _access_index(op, "weight") == ("typ",)
         if by_relation and kernel.domain in _ETYPE_SEGMENTS:
             stmts += _typed_weight_adjoint(kernel, op)
         else:
-            stmts += _accumulate_grad(kernel, op, 1, "_g[:, None] * ", operands[0])
+            fused = (*_gathered(op, 0), ("_g",), out)
+            stmts += _accumulate_grad(kernel, op, 1, "_g[:, None] * ", operands[0], fused=fused)
     elif op.kind == "binary":
         symbol = op.attrs.get("op", "add")
         scalars = op.attrs.get("scalar", {})
@@ -358,10 +393,7 @@ def _backward_micro_op(kernel: TraversalKernel, op: MicroOp) -> List[Stmt]:
             stmts.append(Assign("_gx", expr("_g * (", operands[0], " > 0)")))
         stmts += _accumulate_grad(kernel, op, 0, "_gx")
     elif op.kind == "scale":
-        stmts.append(Assign("_gx, _s", expr("_align(_g, ", operands[1], ")")))
-        stmts += _accumulate_grad(kernel, op, 0, "_gx * _s")
-        stmts.append(Assign("_gs", expr("np.sum(_g * ", operands[0], ", axis=-1)")))
-        stmts += _accumulate_grad(kernel, op, 1, "_gs")
+        stmts += _scale_adjoint(kernel, op, operands, ("_g",), None, "_gx")
     elif op.kind == "copy":
         stmts += _accumulate_grad(kernel, op, 0, "_g")
     else:

@@ -9,6 +9,7 @@ which no buffer (``_b_<name>``) or context (``_c_<attr>``) local can shadow.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
 
 def _align(a, b):
@@ -74,6 +75,7 @@ def _ensure_grad(env, name):
 #:   19 200 × 32       1 623       392  1 382
 #:   40 000 × 64       7 290     1 583  3 106
 #:
+#:   19 200 × 32 weighted    4 600     1 370      (gather and product formed, vs fused)
 #: So the crossover is the build: a full graph pays it once for every later step,
 #: a sampled block (the bench workloads' average 32–80 k contributions) is bound
 #: for a call or two and would pay it each time.  A 1-D sum is within call
@@ -81,7 +83,7 @@ def _ensure_grad(env, name):
 SPMM_MIN_CONTRIBUTIONS = 1 << 17
 
 
-def _scatter_add(target, idx, contrib, fresh=False, ctx=None, attr=None):
+def _scatter_add(target, idx, contrib, fresh=False, ctx=None, attr=None, through=None, weights=None):
     """``target[idx] += contrib`` over repeated indexes, as one float64 segment sum.
 
     The sum runs in float64 and is rounded once, when it is added to the
@@ -97,7 +99,21 @@ def _scatter_add(target, idx, contrib, fresh=False, ctx=None, attr=None):
     Trailing feature axes of a C-contiguous target are flattened into one;
     contributions that broadcast against the target rows take the unbuffered
     ufunc.
+
+    With ``weights``, row ``e`` contributes ``weights[e] · contrib[ctx.<through>[e]]``.  Past the
+    threshold (2-D, float64) the incidence takes ``ctx.gathered_columns`` and the weights as values:
+    each row adds ``fl(w · x)`` in index order, the bits of the product every other path forms first.
     """
+    if weights is not None:
+        sparse = ctx is not None and target.ndim == 2 and len(idx) * target.shape[1] >= SPMM_MIN_CONTRIBUTIONS
+        if sparse and contrib.dtype == weights.dtype == np.float64 and contrib.shape[1:] == target.shape[1:]:
+            incidence = ctx.incidence(attr)
+            columns = incidence.indices if through is None else ctx.gathered_columns(attr, through)
+            shape = (incidence.shape[0], len(contrib))
+            product = scipy.sparse.csr_matrix((weights[incidence.indices], columns, incidence.indptr), shape=shape)
+            return _add_window(target, product, contrib, fresh)
+        contrib, weights = _align(contrib if through is None else contrib[getattr(ctx, through)], weights)
+        contrib = contrib * weights
     row_per_index = contrib.shape == (len(idx), *target.shape[1:])
     if row_per_index and target.ndim > 2 and target.flags.c_contiguous:  # the reshape is a view of ``target``
         target, contrib = target.reshape(len(target), -1), contrib.reshape(len(idx), -1)
@@ -107,15 +123,7 @@ def _scatter_add(target, idx, contrib, fresh=False, ctx=None, attr=None):
         np.add.at(target, idx, contrib)
         return
     if ctx is not None and target.ndim == 2 and len(idx) * target.shape[1] >= SPMM_MIN_CONTRIBUTIONS:
-        incidence = ctx.incidence(attr)
-        window = incidence @ contrib.astype(np.float64, copy=False)
-        if fresh:
-            target[...] = window
-        else:  # the rows from the first to the last one hit, as the bincount window
-            low = np.searchsorted(incidence.indptr, 0, side="right") - 1
-            high = np.searchsorted(incidence.indptr, len(idx))
-            target[low:high] += window[low:high]
-        return
+        return _add_window(target, ctx.incidence(attr), contrib.astype(np.float64, copy=False), fresh)
     if fresh:
         low, rows = 0, len(target)
     else:
@@ -133,3 +141,15 @@ def _scatter_add(target, idx, contrib, fresh=False, ctx=None, attr=None):
         target[...] = window
     else:
         target[low : low + rows] += window
+
+
+def _add_window(target, matrix, contrib, fresh):
+    """Assign ``matrix @ contrib`` to every row (``fresh``), or add its rows from the first to the last
+    one holding an entry, as the bincount window."""
+    window = matrix @ contrib
+    if fresh:
+        target[...] = window
+    else:
+        low = np.searchsorted(matrix.indptr, 0, side="right") - 1
+        high = np.searchsorted(matrix.indptr, matrix.indptr[-1])
+        target[low:high] += window[low:high]

@@ -140,6 +140,8 @@ class _Printer:
             head = stmt.index[0]
             if len(stmt.index) == 1 and head.__class__ is Ctx and head.incidence:
                 args += f", ctx=ctx, attr='{head.attr}'"
+            args += f", through='{stmt.through.attr}'" if stmt.through else ""
+            args += f", weights={self.text(stmt.weights)}" if stmt.weights else ""
             emit(f"{indent}_scatter_add({args})")
         elif kind is Ensure:
             self._ensure(stmt, indent)

@@ -133,12 +133,17 @@ class EnsureGrad:
 
 @dataclass(frozen=True)
 class Scatter:
-    """Segment-sum ``contrib`` rows into ``target[index]``: ``+=``, or ``=`` when ``fresh`` (target all-zeros)."""
+    """Segment-sum ``contrib`` rows into ``target[index]``: ``+=``, or ``=`` when ``fresh`` (target all-zeros).
+
+    With per-row scalar ``weights``, row ``e`` is ``weights[e] · contrib[through[e]]`` (``through`` may be ``None``).
+    """
 
     target: Union[Buf, Local]
     index: Expr
     contrib: Expr
     fresh: bool = False
+    through: Optional[Ctx] = None
+    weights: Optional[Expr] = None
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,17 @@ class GraphContext:
             matrix = memo.setdefault(attr, matrix)
         return matrix
 
+    def gathered_columns(self, attr: str, through: str) -> np.ndarray:
+        """``through[incidence(attr).indices]``: the columns with which ``incidence(attr)`` sums rows gathered
+        through ``through`` (a weighted scatter).  Memoised and read-only, racing benignly, like :meth:`incidence`."""
+        memo = self.__dict__.setdefault("_gathered_columns", {})
+        if (attr, through) not in memo:
+            indices = self.incidence(attr).indices
+            columns = getattr(self, through)[indices].astype(indices.dtype)
+            columns.flags.writeable = False
+            memo.setdefault((attr, through), columns)
+        return memo[(attr, through)]
+
     def index_array_bytes(self) -> int:
         """Device memory occupied by the index arrays built so far (for the memory model)."""
         arrays = [

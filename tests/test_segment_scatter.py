@@ -1,8 +1,10 @@
 """The segment-sum scatter helper and the templates built on type-sorted edges.
 
 Three layers: the helper against a plain ``np.add.at`` reference, its
-sparse-product path against its bincount path bit for bit, and the per-context
-incidence memo and its threshold routing; the shape of the dgrad template (one
+sparse-product path against its bincount path bit for bit, its weighted form
+(``weights[e] · rows[through[e]]``, summed without forming the product) against
+the explicit product bit for bit, and the per-context incidence and column memos
+and their threshold routing; the shape of the dgrad template (one
 scatter per kernel, after its segment loop, under every policy); and whole
 models on awkward schemas — relation counts on both
 sides of the unroll limit, an empty relation, a single-edge relation,
@@ -20,7 +22,7 @@ import pytest
 
 from repro.frontend import compile_model
 from repro.frontend.compiler import compile_program
-from repro.frontend.config import CompilerOptions
+from repro.frontend.config import CONFIGURATIONS, CompilerOptions
 from repro.graph import random_hetero_graph
 from repro.graph.hetero_graph import HeteroGraph
 from repro.ir.codegen import helpers
@@ -176,17 +178,31 @@ def test_full_graph_modules_share_one_incidence(monkeypatch):
     assert len(builds) == len(ctx._incidence)  # every other index array once, too
 
 
+def _count_column_builds(monkeypatch) -> list:
+    """Record the ``(attr, through)`` of every weighted scatter's first column-memo read."""
+    columns = []
+    read = GraphContext.gathered_columns
+
+    def counted(ctx, attr, through):
+        if (attr, through) not in ctx.__dict__.get("_gathered_columns", {}):
+            columns.append((attr, through))
+        return read(ctx, attr, through)
+
+    monkeypatch.setattr(GraphContext, "gathered_columns", counted)
+    return columns
+
+
 def test_sampled_blocks_below_the_threshold_build_no_incidence(monkeypatch):
     graph = random_hetero_graph(num_nodes=1000, num_edges=4500, num_node_types=2, num_edge_types=3, seed=2)
     dim = 32
     assert graph.num_edges * dim >= helpers.SPMM_MIN_CONTRIBUTIONS  # the full graph takes the product
-    builds = _count_builds(monkeypatch)
+    builds, columns = _count_builds(monkeypatch), _count_column_builds(monkeypatch)
     router = Router()
     router.register("served", "rgat", graph, in_dim=dim, out_dim=dim, options=CompilerOptions(emit_backward=False),
                     fanouts=(8,), max_batch_size=4, sampler_seed=1, seed=3)
     for seeds in np.random.default_rng(1).integers(0, graph.num_nodes, (12, 4)):
         assert np.isfinite(router.query("served", seeds)).all()
-    assert builds == []
+    assert builds == [] and columns == []
     module = compile_model("rgat", graph, in_dim=dim, out_dim=dim)
     module.forward(np.ones((graph.num_nodes, dim)))
     assert len(builds) == 1 and builds[0] is module.ctx.edge_dst
@@ -219,6 +235,120 @@ def test_concurrent_first_incidence_calls_agree(small_graph, monkeypatch):
         np.testing.assert_allclose(target, expected, rtol=1e-12, atol=1e-12)
         assert target.tobytes() == results[0][1].tobytes()
         assert (matrix != results[0][0]).nnz == 0
+
+
+# ----------------------------------------------------------------------
+# the weighted scatter: weights[e] · rows[through[e]] without forming the product
+# ----------------------------------------------------------------------
+def _weighted_case(attr, through, dtype=np.float64, width=8):
+    """A full-graph context, an aligned target for ``attr``, rows for ``through`` and per-edge weights."""
+    graph = random_hetero_graph(num_nodes=60, num_edges=400, num_node_types=3, num_edge_types=5, seed=8)
+    ctx = GraphContext.from_graph(graph)
+    rng = np.random.default_rng(10)
+    count = len(getattr(ctx, attr))
+    num_rows = {None: count, "edge_type": ctx.num_etypes, "unique_etype": ctx.num_etypes, "edge_to_unique": ctx.num_unique}
+    rows = rng.standard_normal((num_rows.get(through, ctx.num_nodes), width)).astype(dtype)
+    rows[::4] = -0.0
+    weights = rng.standard_normal(count).astype(dtype)
+    weights[::7] = 0.0
+    targets = ctx.num_unique if attr == "edge_to_unique" else ctx.num_nodes
+    return ctx, rng.standard_normal((targets, width)).astype(dtype), rows, weights
+
+
+_WEIGHTED_CASES = [
+    ("edge_dst", None),
+    ("edge_dst", "edge_to_unique"),
+    ("edge_to_unique", "edge_dst"),
+    ("edge_dst", "edge_type"),
+    ("unique_src", "unique_etype"),
+]
+
+
+def _weighted(ctx, attr, target, rows, through, weights, fresh, fused):
+    out = target.copy()
+    idx = getattr(ctx, attr)
+    if fused:
+        helpers._scatter_add(out, idx, rows, fresh=fresh, ctx=ctx, attr=attr, through=through, weights=weights)
+    else:  # what the unfused statement prints
+        gathered = rows if through is None else rows[getattr(ctx, through)]
+        helpers._scatter_add(out, idx, gathered * weights[:, None], fresh=fresh, ctx=ctx, attr=attr)
+    return out
+
+
+@pytest.mark.parametrize("attr, through", _WEIGHTED_CASES, ids=lambda v: str(v))
+@pytest.mark.parametrize("fresh", [False, True], ids=["accumulate", "fresh"])
+def test_weighted_scatter_equals_the_explicit_product_bitwise(attr, through, fresh, monkeypatch):
+    """``fl(w · x)`` added in index order from ``0.0`` on both sides of the threshold, fused or not."""
+    ctx, target, rows, weights = _weighted_case(attr, through)
+    results = []
+    for threshold in (0, 1 << 62):
+        monkeypatch.setattr(helpers, "SPMM_MIN_CONTRIBUTIONS", threshold)
+        results += [_weighted(ctx, attr, target, rows, through, weights, fresh, fused) for fused in (True, False)]
+    assert len({result.tobytes() for result in results}) == 1
+    expected = np.zeros_like(target) if fresh else target.copy()
+    gathered = rows if through is None else rows[getattr(ctx, through)]
+    np.add.at(expected, getattr(ctx, attr), gathered * weights[:, None])
+    np.testing.assert_allclose(results[0], expected, rtol=1e-12, atol=1e-12)
+    memo = ctx.__dict__.get("_gathered_columns", {})
+    assert list(memo) == ([] if through is None else [(attr, through)])
+    assert not any(columns.flags.writeable for columns in memo.values())
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["accumulate", "fresh"])
+def test_float32_weighted_scatter_keeps_the_formed_product(fresh, monkeypatch):
+    """``fl32(x · w)`` is not the exact product the fused sum would add: float32 forms it, as unfused code does."""
+    ctx, target, rows, weights = _weighted_case("edge_dst", "edge_src", np.float32)
+    for threshold in (0, 1 << 62):
+        monkeypatch.setattr(helpers, "SPMM_MIN_CONTRIBUTIONS", threshold)
+        fused, formed = (_weighted(ctx, "edge_dst", target, rows, "edge_src", weights, fresh, f) for f in (True, False))
+        assert fused.dtype == np.float32 and fused.tobytes() == formed.tobytes()
+    assert "_gathered_columns" not in ctx.__dict__
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_full_graph_modules_agree_across_the_threshold(model, monkeypatch):
+    """A C+R module's weighted scatters (and every other) give the same bits fused-sparse as bincount."""
+    graph = random_hetero_graph(num_nodes=80, num_edges=500, num_node_types=3, num_edge_types=4, seed=6)
+    options = CONFIGURATIONS["C+R"].with_(backend="python-codegen", emit_backward=True, enable_compilation_cache=False)
+    module = compile_model(model, graph, in_dim=8, out_dim=8, options=options, seed=2)
+    features = np.random.default_rng(3).standard_normal((graph.num_nodes, 8))
+    runs = []
+    for threshold in (1 << 62, 0):
+        monkeypatch.setattr(helpers, "SPMM_MIN_CONTRIBUTIONS", threshold)
+        out = module.forward(features)[module.output_name].copy()
+        grads = module.backward({module.output_name: np.cos(out)})
+        runs.append([out, *(grads[name].copy() for name in sorted(grads))])
+    assert "_gathered_columns" in module.ctx.__dict__ or model == "rgcn"
+    assert [array.tobytes() for array in runs[0]] == [array.tobytes() for array in runs[1]]
+
+
+def test_concurrent_first_column_reads_agree(small_graph, monkeypatch):
+    """A race on the first column-memo build is benign, as for the incidence: equal arrays, equal sums."""
+    ctx = GraphContext.from_graph(small_graph)
+    rng = np.random.default_rng(12)
+    rows, weights = rng.standard_normal((ctx.num_nodes, 16)), rng.standard_normal(ctx.num_edges)
+    monkeypatch.setattr(helpers, "SPMM_MIN_CONTRIBUTIONS", 0)
+    barrier = threading.Barrier(4)
+
+    def scatter(_):
+        barrier.wait(timeout=30)
+        target = np.empty((ctx.num_nodes, 16))
+        helpers._scatter_add(target, ctx.edge_dst, rows, fresh=True, ctx=ctx, attr="edge_dst", through="edge_src",
+                             weights=weights)
+        return ctx.gathered_columns("edge_dst", "edge_src"), target
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(scatter, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    expected = np.zeros((ctx.num_nodes, 16))
+    np.add.at(expected, ctx.edge_dst, rows[ctx.edge_src] * weights[:, None])
+    for columns, target in results:
+        np.testing.assert_allclose(target, expected, rtol=1e-12, atol=1e-12)
+        assert target.tobytes() == results[0][1].tobytes() and np.array_equal(columns, results[0][0])
 
 
 # ----------------------------------------------------------------------
