@@ -114,10 +114,7 @@ def main_forward(env, ctx):
     Y = _b_out = env.get('out')
     if Y is None or Y.shape != (_c_num_nodes, 64):
         Y = _b_out = env['out'] = np.empty((_c_num_nodes, 64), dtype=_env_dtype(env))
-    _contrib = _b_hs
-    _c, _s = _align(_contrib, _b_att)
-    _contrib = _c * _s
-    _scatter_add(Y, _c_edge_dst, _contrib, fresh=True, ctx=ctx, attr='edge_dst')
+    _scatter_add(Y, _c_edge_dst, _b_hs, fresh=True, ctx=ctx, attr='edge_dst', weights=_b_att)
     return env
 
 def main_backward(env, ctx):
