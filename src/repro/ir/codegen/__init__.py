@@ -7,7 +7,8 @@ into Python/numpy source through the same three stages:
    kernel's GEMM / traversal / fallback template into a small statement IR
    (:mod:`~repro.ir.codegen.stmt`) with typed buffer, context and
    segment-index references; rows are stored by type, so a segment is a
-   slice (a view, never a gather) and a dgrad scatters once, after its loop;
+   slice (a view, never a gather), a dgrad scatters once, after its loop, and
+   a weighted scatter sums ``w · rows[through]`` without forming it;
 2. **passes** (:mod:`~repro.ir.codegen.passes`) — IR→IR: merged adjoint and
    forward-projection segment loops, schema/occupancy unrolling,
    fresh-scatter specialisation, ensure-grad fusion;

@@ -220,8 +220,7 @@ def _access_index(op: MicroOp, access: str) -> Optional[Expr]:
 
 def _scatter_index(kernel: TraversalKernel, index: Expr) -> Expr:
     """``index`` with a local resolved to the context array :func:`_traversal` bound it to, so the helper can sum
-    through that array's incidence matrix (``typ`` never scatters: its adjoint is per relation); a computed index
-    stays as it is."""
+    through its incidence matrix (``typ`` never scatters: its adjoint is per relation); a computed index stays."""
     bound = {Space.EDGE: {"src": "edge_src", "dst": "edge_dst", "typ": "edge_type"},
              Space.COMPACT: {"src": "unique_src", "typ": "unique_etype"}}
     attr = bound.get(kernel.domain, {}).get(index[0]) if len(index) == 1 else None

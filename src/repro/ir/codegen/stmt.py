@@ -133,10 +133,8 @@ class EnsureGrad:
 
 @dataclass(frozen=True)
 class Scatter:
-    """Segment-sum ``contrib`` rows into ``target[index]``: ``+=``, or ``=`` when ``fresh`` (target all-zeros).
-
-    With per-row scalar ``weights``, row ``e`` is ``weights[e] · contrib[through[e]]`` (``through`` may be ``None``).
-    """
+    """Segment-sum ``contrib`` rows into ``target[index]``: ``+=``, or ``=`` when ``fresh`` (target all-zeros);
+    with per-row scalar ``weights``, row ``e`` is ``weights[e] · contrib[through[e]]`` (``contrib[e]`` without)."""
 
     target: Union[Buf, Local]
     index: Expr

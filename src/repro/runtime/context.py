@@ -7,9 +7,9 @@ presorted by type (``etype_ptr`` + permutation), nodes grouped by type
 to resolve per-source/destination-node-type weights inside edge-type
 segments.  Derived layouts are built on first read, so a binding builds only
 what its plan reads: the compact-materialization mapping (``unique_src``,
-``unique_etype_ptr``, ``edge_to_unique``; only a C plan reads it) and the CSR
+``unique_etype_ptr``, ``edge_to_unique``; only a C plan reads it), the CSR
 incidence a full-graph scatter sums through instead of atomics (edges by
-destination).
+destination) and the columns through which a weighted one reads its rows.
 """
 
 from __future__ import annotations
