@@ -246,7 +246,8 @@ def _weighted_case(attr, through, dtype=np.float64, width=8):
     ctx = GraphContext.from_graph(graph)
     rng = np.random.default_rng(10)
     count = len(getattr(ctx, attr))
-    num_rows = {None: count, "edge_type": ctx.num_etypes, "unique_etype": ctx.num_etypes, "edge_to_unique": ctx.num_unique}
+    num_rows = {None: count, "edge_type": ctx.num_etypes, "unique_etype": ctx.num_etypes}
+    num_rows["edge_to_unique"] = ctx.num_unique
     rows = rng.standard_normal((num_rows.get(through, ctx.num_nodes), width)).astype(dtype)
     rows[::4] = -0.0
     weights = rng.standard_normal(count).astype(dtype)
@@ -300,7 +301,8 @@ def test_float32_weighted_scatter_keeps_the_formed_product(fresh, monkeypatch):
     ctx, target, rows, weights = _weighted_case("edge_dst", "edge_src", np.float32)
     for threshold in (0, 1 << 62):
         monkeypatch.setattr(helpers, "SPMM_MIN_CONTRIBUTIONS", threshold)
-        fused, formed = (_weighted(ctx, "edge_dst", target, rows, "edge_src", weights, fresh, f) for f in (True, False))
+        fused, formed = (_weighted(ctx, "edge_dst", target, rows, "edge_src", weights, fresh, f)
+                         for f in (True, False))
         assert fused.dtype == np.float32 and fused.tobytes() == formed.tobytes()
     assert "_gathered_columns" not in ctx.__dict__
 
