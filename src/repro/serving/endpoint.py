@@ -24,7 +24,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -438,24 +438,18 @@ class Endpoint:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def execute_batch(
-        self,
-        requests: List[ServingRequest],
-        timer: Callable[[], float] = time.perf_counter,
-    ) -> float:
+    def execute_batch(self, requests: List[ServingRequest]) -> float:
         """Sample (or assemble from cache), bind, execute, and scatter one
         micro-batch.
 
-        Returns the measured service seconds (sampling + execution).
-        ``timer`` defaults to the wall clock; the saturation study passes
-        ``time.thread_time`` so service times stay CPU-exclusive (one
-        worker's GIL wait does not inflate another batch's cost).
+        Returns the measured wall-clock service seconds (sampling +
+        execution).
         """
-        sample_start = timer()
+        sample_start = time.perf_counter()
         all_seeds = np.concatenate([request.seeds for request in requests])
         union_seeds, inverse = np.unique(all_seeds, return_inverse=True)
         block, cache_hit = self._sample_block(union_seeds)
-        execute_start = timer()
+        execute_start = time.perf_counter()
 
         plan_replayed: Optional[bool] = None
         if self._plan_cached is not None:
@@ -489,7 +483,7 @@ class Endpoint:
             request.result = seed_rows[inverse[offset:offset + span]]
             request.status = "done"
             offset += span
-        done = timer()
+        done = time.perf_counter()
 
         self.stats.record_batch(BatchRecord(
             num_requests=len(requests),

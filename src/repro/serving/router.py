@@ -34,7 +34,7 @@ Quickstart::
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -93,13 +93,13 @@ class Router:
         self._endpoints: Dict[str, Endpoint] = {}
         self._wrr = WeightedRoundRobin()
         #: Endpoint name per executed batch, in execution order — the
-        #: fairness tests and the study read this to see the interleaving.
+        #: fairness tests read this to see the interleaving.
         #: Bounded to the most recent :data:`EXECUTION_LOG_LIMIT` batches so
         #: a long-lived router's telemetry cannot grow without limit.
         self.execution_log: List[str] = []
         #: Requests admitted by the most recent :meth:`serve` call, in stream
-        #: order — callers that need per-request results (e.g. the
-        #: multi-tenant study's bit-identical cross-check) read them here.
+        #: order — callers that need per-request results (e.g. a
+        #: bit-identity cross-check against isolated serving) read them here.
         #: Replaced wholesale on every ``serve``, so it only ever pins one
         #: stream's requests.  Shed requests appear here too, result-less,
         #: with their shed status.
@@ -255,7 +255,6 @@ class Router:
         self,
         name: str,
         requests: List[ServingRequest],
-        timer: Optional[Callable[[], float]] = None,
     ) -> float:
         """Execute one batch with per-request fault isolation.
 
@@ -265,16 +264,15 @@ class Router:
         batch-mates are served.  Returns the batch's total service seconds.
         """
         endpoint = self._endpoints[name]
-        kwargs = {"timer": timer} if timer is not None else {}
         try:
-            return endpoint.execute_batch(requests, **kwargs)
+            return endpoint.execute_batch(requests)
         except Exception as exc:
             if len(requests) == 1:
                 request = requests[0]
                 request.status = "failed"
                 request.error = f"endpoint {name!r}: {exc!r}"
                 return 0.0
-            return sum(self._execute(name, [request], timer=timer) for request in requests)
+            return sum(self._execute(name, [request]) for request in requests)
 
     # ------------------------------------------------------------------
     # scheduling
@@ -335,7 +333,6 @@ class Router:
         *,
         realtime: bool = False,
         workers: Optional[int] = None,
-        timer: Optional[Callable[[], float]] = None,
     ) -> Dict[str, object]:
         """Serve a timed request stream through the event-loop scheduler.
 
@@ -347,9 +344,6 @@ class Router:
                 waits for real arrivals) instead of virtual time.
             workers: executor workers for this call (defaults to the
                 router's ``num_workers``).
-            timer: service-time measurement for batch execution (defaults to
-                the wall clock; the saturation study passes
-                ``time.thread_time`` for CPU-exclusive accounting).
 
         Per endpoint, arrivals are micro-batched under its size/timeout
         policy and admission-checked at arrival time (rate bucket, queue
@@ -398,7 +392,7 @@ class Router:
             arrivals,
             lanes,
             self._wrr,
-            lambda name, requests: self._execute(name, requests, timer=timer),
+            self._execute,
             clock=clock,
             workers=workers,
             on_complete=on_complete,

@@ -6,11 +6,12 @@ executes — :meth:`~repro.serving.router.Router.serve`'s timed streams and
 It separates three concerns:
 
 * **Clocks** — :class:`VirtualClock` replays a timestamped request stream in
-  virtual time (arrivals are simulated offsets; service time is still the
-  measured wall clock of sampling + execution), which keeps tests and studies
-  fast and deterministic.  :class:`MonotonicClock` runs the same loop against
-  ``time.monotonic()``, sleeping until the next admission — the "real"
-  deployment mode.  Both expose ``now`` / ``advance_to`` / ``advance_by`` so
+  virtual time (arrivals are simulated offsets; service time is whatever the
+  executor returns — the router's measured wall clock of sampling +
+  execution, or a fixed figure from a test's stub executor, which makes the
+  whole schedule deterministic).  :class:`MonotonicClock` runs the same
+  loop against ``time.monotonic()``, sleeping until the next admission —
+  the "real" deployment mode.  Both expose ``now`` / ``advance_to`` / ``advance_by`` so
   the loop is clock-agnostic.
 
 * **Batching** — each endpoint (a *lane*, :class:`LaneSpec`) micro-batches
@@ -215,9 +216,7 @@ def run_serving_loop(
     request) and the loop keeps serving.
 
     Real wall-clock overlap additionally requires multiple CPUs; the virtual
-    makespan accounts the schedule either way, which is what the throughput
-    gates measure (the same convention as the scaling study's modelled
-    aggregate throughput).
+    makespan accounts the schedule either way.
     """
     if workers < 1:
         raise ValueError("run_serving_loop needs workers >= 1")

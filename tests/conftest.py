@@ -65,6 +65,33 @@ def corner_graph(request) -> HeteroGraph:
     return CORNER_GRAPHS[request.param]()
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Run the serving loop's worker pool inline.
+
+    Every batch completes the moment it is submitted, so a multi-worker
+    ``run_serving_loop`` schedule depends only on the service times its
+    executor returns, never on thread timing.
+    """
+    from concurrent.futures import Future
+
+    from repro.serving import scheduler
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def submit(self, function, *args):
+            future = Future()
+            future.set_result(function(*args))
+            return future
+
+        def shutdown(self, wait=True):
+            pass
+
+    monkeypatch.setattr(scheduler, "ThreadPoolExecutor", InlinePool)
+
+
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)

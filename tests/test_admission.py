@@ -14,7 +14,13 @@ synthetic service times — exactly what :class:`LaneSpec` was decoupled for):
    execution order, with the same latencies.
 4. A request whose deadline expired before dispatch is *never* handed to the
    executor, for any worker count.
+
+:class:`TestFixedServiceSchedule` drives the same loop with a service time
+that is a fixed function of batch size, and checks worker scaling and the
+overload knee on exact, repeatable numbers.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,6 +37,7 @@ from repro.serving import (
     WeightedRoundRobin,
     run_serving_loop,
 )
+from repro.serving.stats import percentile
 
 LANES = ("alpha", "beta")
 
@@ -102,27 +109,10 @@ def run_loop(
     return result, executed
 
 
-def test_batches_completing_together_fold_one_at_a_time(monkeypatch):
+def test_batches_completing_together_fold_one_at_a_time(inline_pool):
     """Both lanes' first batches are complete by the time the loop looks (the
     pool runs every batch inline at submission); the short lane's second batch
     must start at its own first finish, not at the longer lane's."""
-    from concurrent.futures import Future
-
-    from repro.serving import scheduler
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            pass
-
-        def submit(self, function, *args):
-            future = Future()
-            future.set_result(function(*args))
-            return future
-
-        def shutdown(self, wait=True):
-            pass
-
-    monkeypatch.setattr(scheduler, "ThreadPoolExecutor", InlinePool)
     service = {"alpha": 1.0, "beta": 3.0}
     finishes = []
 
@@ -145,6 +135,119 @@ def test_batches_completing_together_fold_one_at_a_time(monkeypatch):
     )
     assert finishes == [("alpha", 1.0), ("alpha", 2.0), ("beta", 3.0), ("beta", 6.0)]
     assert (result.makespan_s, result.busy_s) == (6.0, 8.0)
+
+
+class TestFixedServiceSchedule:
+    """Worker scaling and overload shape on the virtual clock.
+
+    Four weighted lanes (one of weight 2), batches of up to 8, and an executor
+    whose service time is a fixed function of batch size, in binary fractions
+    of a second so that sums of them are exact.  Every number below therefore
+    repeats bit for bit; the measured wall-clock counterparts are
+    ``serve_req_per_s`` and ``query_p*_ms`` in ``bench/``.
+    """
+
+    WEIGHTS = {"a": 1, "b": 1, "c": 2, "d": 1}
+    BATCH = 8
+
+    @staticmethod
+    def service(batch_size):
+        """A fixed cost of two units plus one unit per request (1 unit = 2**-13 s)."""
+        return (2 + batch_size) * 2.0 ** -13
+
+    def serve(self, arrivals, *, workers=1, policy=None):
+        def execute(name, requests):
+            for request in requests:
+                request.result = request.seeds
+            return self.service(len(requests))
+
+        lanes = {
+            name: LaneSpec(
+                max_batch_size=self.BATCH,
+                batch_timeout_s=0.004,
+                admission=AdmissionController(policy) if policy is not None else None,
+            )
+            for name in self.WEIGHTS
+        }
+        wrr = WeightedRoundRobin()
+        for name, weight in self.WEIGHTS.items():
+            wrr.register(name, weight)
+        return run_serving_loop(arrivals, lanes, wrr, execute, clock=VirtualClock(), workers=workers)
+
+    def stream(self, num_requests, rate_rps=None):
+        """Round-robin over the lanes; a burst at t=0, or evenly spaced at ``rate_rps``."""
+        names = list(self.WEIGHTS)
+        arrivals = []
+        for index in range(num_requests):
+            name = names[index % len(names)]
+            arrival_s = 0.0 if rate_rps is None else index / rate_rps
+            arrivals.append((name, ServingRequest(seeds=np.array([index]), arrival_s=arrival_s, endpoint=name)))
+        return arrivals
+
+    def test_four_workers_serve_a_burst_in_a_quarter_of_the_makespan(self, inline_pool):
+        """96 burst requests fill 12 batches of 8, three per lane.  One worker
+        runs them back to back; four run the four lanes side by side."""
+        one = self.serve(self.stream(96), workers=1)
+        four = self.serve(self.stream(96), workers=4)
+        batch_s = self.service(self.BATCH)
+        assert one.busy_s == four.busy_s == 12 * batch_s
+        assert (one.makespan_s, four.makespan_s) == (12 * batch_s, 3 * batch_s)
+        assert one.makespan_s / four.makespan_s == 4.0
+        for result in (one, four):
+            assert len(result.completed) == 96 and not result.shed
+            assert sorted(result.execution_order) == sorted(list(self.WEIGHTS) * 3)
+
+    def test_overload_sheds_instead_of_queueing_and_stays_fair(self):
+        """Offered load at 0.25 / 1 / 2 / 4 x capacity under a queue bound and a
+        deadline: below the knee nothing sheds; past it the shed fraction
+        rises, the p99 of admitted requests stays within the deadline plus
+        ten batches, no queue passes its bound, and completions split by
+        WRR weight within 20 %.
+
+        Capacity is the full-batch rate ``8 / service(8)``.  At 0.25x it the
+        lanes' batches close by timeout well short of 8, and still fit.
+        """
+        capacity = self.BATCH / self.service(self.BATCH)
+        max_queue_depth = 12
+        total_weight = sum(self.WEIGHTS.values())
+        min_share = min(self.WEIGHTS.values()) / total_weight
+        # Time for a full queue on the lightest lane to drain, with slack.
+        deadline_s = 1.5 * max_queue_depth / (capacity * min_share) + 2.0 * self.service(self.BATCH)
+        policy = AdmissionPolicy(max_queue_depth=max_queue_depth, deadline_s=deadline_s)
+        latency_bound_s = deadline_s + 10 * self.service(self.BATCH)
+
+        rows = {}
+        for multiplier in (0.25, 1.0, 2.0, 4.0):
+            rate = multiplier * capacity
+            arrivals = self.stream(int(rate * 12 * deadline_s), rate_rps=rate)
+            result = self.serve(arrivals, policy=policy)
+            requests = [request for _, request in arrivals]
+            assert len(result.completed) + len(result.shed) == len(requests)
+            # Once arrivals stop, the final drain completes every lane's
+            # backlog regardless of weight: count completions under load only.
+            last_arrival = requests[-1].arrival_s
+            steady = Counter(
+                request.endpoint for request in result.completed
+                if request.arrival_s + request.latency_s <= last_arrival
+            )
+            rows[multiplier] = {
+                "shed_fraction": len(result.shed) / len(requests),
+                "p99_s": percentile([request.latency_s for request in result.completed], 99),
+                "queue_high_water": max(result.queue_depth_high_water.values()),
+                "fairness_worst": max(
+                    abs(steady[name] / sum(steady.values()) / (weight / total_weight) - 1.0)
+                    for name, weight in self.WEIGHTS.items()
+                ),
+            }
+
+        assert rows[0.25]["shed_fraction"] == 0.0, rows
+        for multiplier in (2.0, 4.0):
+            row = rows[multiplier]
+            assert row["shed_fraction"] > rows[0.25]["shed_fraction"], (multiplier, row)
+            assert row["p99_s"] <= latency_bound_s, (multiplier, row)
+            assert row["queue_high_water"] <= max_queue_depth, (multiplier, row)
+            assert row["fairness_worst"] <= 0.2, (multiplier, row)
+        assert rows[4.0]["shed_fraction"] > rows[2.0]["shed_fraction"] > rows[1.0]["shed_fraction"]
 
 
 class TestTokenBucketProperties:

@@ -21,8 +21,9 @@ import numpy as np
 import pytest
 
 from repro.frontend import compile_model
-from repro.graph import NeighborSampler, random_hetero_graph
-from repro.graph.generators import random_labels
+from repro.frontend.config import CONFIGURATIONS
+from repro.graph import NeighborSampler, load_dataset, random_hetero_graph
+from repro.graph.generators import random_features, random_labels
 from repro.models import MODEL_NAMES
 from repro.runtime import MultiLayerModule
 from repro.tensor import optim
@@ -47,6 +48,17 @@ def train_features(train_graph):
 @pytest.fixture(scope="module")
 def train_labels(train_graph):
     return random_labels(train_graph, DIM, seed=1)
+
+
+#: Feature width (and class count) of the citation-graph tests.
+CITATION_DIM = 16
+
+
+@pytest.fixture(scope="module")
+def citation():
+    """A scaled aifb citation KG (596 nodes, 4 000 edges) with features and labels."""
+    graph = load_dataset("aifb", max_edges=4000)
+    return graph, random_features(graph, CITATION_DIM, seed=0), random_labels(graph, CITATION_DIM, seed=1)
 
 
 def full_graph_epoch(model, graph, features, labels, lr=LR, seed=7):
@@ -104,6 +116,21 @@ class TestFullAccumulationEquivalence:
             np.testing.assert_allclose(
                 parameter.grad, reference_grads[name], rtol=1e-10, atol=1e-12, err_msg=name
             )
+
+    def test_full_accumulation_loss_curve_tracks_full_graph(self, citation):
+        """Over several SGD epochs, 64-seed minibatches accumulated into one
+        step per epoch follow full-graph training step for step."""
+        graph, features, labels = citation
+
+        def curve(batch_size):
+            module = compile_model("rgcn", graph, in_dim=CITATION_DIM, out_dim=CITATION_DIM, seed=0)
+            trainer = MinibatchTrainer(
+                module, graph, features, labels, optimizer="sgd", lr=0.5,
+                batch_size=batch_size, accumulation_steps=None, fanouts=(None,),
+            )
+            return trainer.train(4).loss_curve()
+
+        np.testing.assert_allclose(curve(batch_size=64), curve(batch_size=None), rtol=0, atol=1e-6)
 
     def test_full_coverage_block_reproduces_parent_structure(self, train_graph):
         """The premise of bit-identity: seeds covering every node with
@@ -225,11 +252,14 @@ class TestMultiLayerPerHop:
         for name, parameter in stack.parameters_by_name().items():
             np.testing.assert_allclose(parameter.grad, reference[name], atol=1e-8, err_msg=name)
 
-    def test_inner_layers_aggregate_strictly_less(self, train_graph, train_features):
+    @pytest.mark.parametrize("fanouts", [(None, None), (8, 8), (4, 4)])
+    def test_inner_layers_aggregate_strictly_less(self, fanouts, train_graph, train_features):
         """The point of per-hop execution: the innermost layer touches only
-        the seeds' in-edges, not the merged frontier's."""
+        the seeds' in-edges, not the merged frontier's, and no layer does
+        more work than over the merged block.  With finite fanouts both
+        samples share one epoch's draws, so the comparison is edge for edge."""
         stack = MultiLayerModule.build("rgcn", train_graph, dims=(DIM, DIM, DIM), seed=5)
-        sampler = NeighborSampler(train_graph, fanouts=(None, None), seed=2)
+        sampler = NeighborSampler(train_graph, fanouts=fanouts, seed=2)
         seeds = np.array([1, 7, 19, 33, 50])
         blocks = sampler.sample_blocks(seeds)
         run = stack.forward_blocks(blocks, train_features)
@@ -238,6 +268,25 @@ class TestMultiLayerPerHop:
         merged = stack.layer_edge_counts(merged_run)
         assert all(h <= m for h, m in zip(per_hop, merged))
         assert per_hop[-1] < merged[-1]
+
+    def test_per_hop_savings_grow_with_depth(self, citation):
+        """A merged block makes every layer pay the whole frontier; per-hop
+        pays each shrinking frontier once, so the share of aggregation work
+        saved grows from two layers to three."""
+        graph = citation[0]
+
+        def savings(num_layers):
+            sampler = NeighborSampler(graph, fanouts=(6,) * num_layers, seed=0)
+            rng = np.random.default_rng(0)
+            per_hop = merged = 0
+            for _ in range(8):
+                seeds = rng.choice(graph.num_nodes, size=8, replace=False)
+                per_hop += sum(block.num_edges for block in sampler.sample_blocks(seeds))
+                merged += num_layers * sampler.sample(seeds).num_edges
+            return 1.0 - per_hop / merged
+
+        two, three = savings(2), savings(3)
+        assert 0.0 < two <= three, (two, three)
 
     def test_trainer_drives_a_stack_per_hop(self, train_graph, train_features, train_labels):
         stack = MultiLayerModule.build("rgcn", train_graph, dims=(DIM, DIM, DIM), seed=5)
@@ -264,6 +313,27 @@ class TestTrainerBehaviour:
         stats = trainer.train(6)
         curve = stats.loss_curve()
         assert curve[-1] < curve[0]
+
+    def test_sampled_training_reaches_full_graph_loss(self, citation):
+        """Same model, initial parameters, optimizer and epochs: RGAT trained
+        over fanout-8 minibatches of 32 ends no worse than full-graph training
+        (plus 0.25 of cross-entropy slack), and both improve on their start.
+        Sampling trades exact gradients for block work, not convergence."""
+        graph, features, labels = citation
+
+        def curve(**kwargs):
+            module = compile_model("rgat", graph, in_dim=CITATION_DIM, out_dim=CITATION_DIM,
+                                   options=CONFIGURATIONS["U"], seed=0)
+            trainer = MinibatchTrainer(
+                module, graph, features, labels, objective="cross_entropy", optimizer="adam",
+                lr=0.02, sampler_seed=0, shuffle_seed=0, **kwargs,
+            )
+            return trainer.train(6).loss_curve()
+
+        full = curve(batch_size=None, accumulation_steps=None, fanouts=(None,))
+        sampled = curve(batch_size=32, accumulation_steps=1, fanouts=(8,))
+        assert full[-1] < full[0] and sampled[-1] < sampled[0], (full, sampled)
+        assert sampled[-1] <= full[-1] + 0.25, (full, sampled)
 
     def test_epoch_shuffles_are_deterministic_and_differ_by_epoch(self, train_graph,
                                                                   train_features, train_labels):

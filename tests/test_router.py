@@ -657,7 +657,7 @@ class TestMultiTenantIsolation:
                 "arena_evictions", "arena_pool_hit_rate",
             ]:
                 assert field in row, field
-            assert row["throughput_rps"] > 0 and row["arena_misses"] >= 1
+            assert row["arena_misses"] >= 1
             assert row["latency_p95_ms"] >= row["latency_p50_ms"]
             assert row["plan_replays"] == row["batches"] and row["plan_recompiles"] == 0
 
